@@ -211,7 +211,7 @@ def _build_synthetic(mc: dict) -> ModelBundle:
         energies = np.linalg.eigvalsh((a + a.T) / np.sqrt(8.0 * dim))
     else:
         raise SystemExit(f"unknown synthetic kind {kind!r}")
-    spec = linalg.Spectrum(linalg.normalize_energies(energies), np.eye(dim, dtype=complex))
+    spec = linalg.Spectrum(linalg.normalize_energies(energies), np.eye(dim))
     return ModelBundle(f"synthetic-{kind}-{dim}", spec)
 
 
@@ -397,8 +397,7 @@ def cmd_plateau(cfg: dict, outdir: Path) -> int:
     window = tuple(cfg.get("window", (trace.times[0], trace.times[-1])))
     stats = engine.plateau_stats(trace, window)
     if pipeline is not None:
-        gs = lattice.gram_schmidt(lattice.lll_reduce(pipeline.basis))
-        estimate = lattice.plateau_estimate(gs)
+        estimate = lattice.plateau_estimate(pipeline.reduced_gram_schmidt())
     else:
         estimate = float(np.pi * np.sqrt(bundle.spectrum.dim / 3.0))
     meta = _meta(
@@ -427,16 +426,17 @@ def cmd_cvp(cfg: dict, outdir: Path) -> int:
         cfg,
         dim=basis.dim,
         methods=[
-            {
-                "method": e.method,
-                "coeffs": e.coeffs.tolist(),
-                "distance": e.distance,
-                "wall_time_s": e.seconds,
-            }
+            {"method": e.method, "coeffs": e.coeffs.tolist(), "distance": e.distance}
             for e in entries
         ],
     )
     _atomic_write(outdir / "cvp.json", _json_text(meta))
+    # wall times vary from run to run, so they stay out of cvp.json
+    timing = {
+        "config_hash": meta["config_hash"],
+        "methods": [{"method": e.method, "wall_time_s": e.seconds} for e in entries],
+    }
+    _atomic_write(outdir / "cvp_timing.json", _json_text(timing))
     best = min(entries, key=lambda e: e.distance)
     print(f"wrote {outdir / 'cvp.json'} (best {best.method}: {best.distance:.6f})")
     return 0

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 
 from .lattice import (
     LLL_DELTA_DEFAULT,
@@ -29,6 +30,7 @@ from .lattice import (
     babai_nearest_plane,
     gram_schmidt,
     greedy_descent,
+    lll_reduce,
     lll_reduce_with_transform,
     round_half_away,
 )
@@ -37,21 +39,49 @@ from .linalg import Spectrum
 TWO_PI = 2.0 * np.pi
 Q_EIGENVALUE_TOL = 1e-9
 AUDIT_TOL = 1e-8
+IMAG_TOL = 1e-8
+# working-set budget for one block of local diagonals while it is built
+Q_BLOCK_BYTES = 32 * 2**20
 
 
 class LocalityClassifier(Protocol):
     """Yields the diagonals, in the energy eigenbasis, of an orthonormal set
-    of local operators.  Implementations return an array of shape
-    (n_local, dim) whose row alpha is <n|T_alpha|n> over eigenstates n."""
+    of Hermitian local operators T_alpha.
 
-    def local_diagonals(self, spectrum: Spectrum) -> np.ndarray: ...
+    local_diagonals returns an iterable of real 2-D blocks of shape
+    (rows, dim); over all blocks, each row is <n|T_alpha|n> over eigenstates
+    n for one T_alpha.  Blocks are built on demand, so the whole
+    (n_local, dim) array never exists; block_rows sizes them to
+    Q_BLOCK_BYTES."""
+
+    def local_diagonals(self, spectrum: Spectrum) -> Iterable[np.ndarray]: ...
+
+
+def block_rows(dim: int, bytes_per_entry: int) -> int:
+    """Rows of a diagonal block of width dim whose working set, at
+    bytes_per_entry bytes per entry, fits in Q_BLOCK_BYTES."""
+    return max(1, Q_BLOCK_BYTES // (bytes_per_entry * dim))
+
+
+def real_block(z: np.ndarray) -> np.ndarray:
+    """The real part of a block of diagonals of Hermitian operators, after
+    checking that its imaginary part is roundoff."""
+    if not np.iscomplexobj(z):
+        return z
+    imag = float(np.abs(z.imag).max()) if z.size else 0.0
+    if imag > IMAG_TOL:
+        raise ArithmeticError(
+            f"local operator diagonals have imaginary part {imag:.3e}; "
+            "the local operators are not Hermitian"
+        )
+    return np.ascontiguousarray(z.real)
 
 
 @dataclass(frozen=True)
 class NonlocalityMatrix:
-    """Q_nm = delta_nm - sum over local T of <n|T|n><m|T|m> (dagger on one
-    factor for non-Hermitian T).  Real symmetric, eigenvalues in [0, 1];
-    a null eigenvector is a conserved quantity built from local operators."""
+    """Q_nm = delta_nm - sum over an orthonormal set of Hermitian local T of
+    <n|T|n><m|T|m>.  Real symmetric, eigenvalues in [0, 1]; a null
+    eigenvector is a conserved quantity built from local operators."""
 
     entries: np.ndarray
     eigenvalues: np.ndarray
@@ -78,18 +108,30 @@ class NonlocalityMatrix:
 
 
 def nonlocality_matrix(spectrum: Spectrum, classifier: LocalityClassifier) -> NonlocalityMatrix:
-    """Build Q from a spectrum and a locality classifier."""
-    z = np.asarray(classifier.local_diagonals(spectrum), dtype=np.complex128)
-    if z.ndim != 2 or z.shape[1] != spectrum.dim:
-        raise ValueError(f"classifier returned shape {z.shape} for dim {spectrum.dim}")
-    gram = z.T @ z.conj()
-    imag = np.abs(gram.imag).max() if z.size else 0.0
-    if imag > 1e-8:
-        raise ArithmeticError(
-            f"local set not closed under conjugation: imaginary part {imag:.3e}"
-        )
-    q = np.eye(spectrum.dim) - gram.real
-    q = 0.5 * (q + q.T)
+    """Build Q from a spectrum and a locality classifier.
+
+    The Gram matrix sum_alpha z_alpha z_alpha^T is accumulated one block of
+    rows at a time, so memory stays at a few dim x dim arrays plus one block.
+    """
+    d = spectrum.dim
+    gram = np.zeros((d, d), order="F")  # upper triangle filled by dsyrk
+    for z in classifier.local_diagonals(spectrum):
+        z = real_block(np.asarray(z))
+        if z.ndim != 2 or z.shape[1] != d:
+            raise ValueError(
+                f"classifier yielded a block of shape {z.shape} for dim {d}; "
+                "expected 2-D blocks of width dim"
+            )
+        if z.shape[0]:
+            # z.T is Fortran-ordered, so BLAS reads the block without a copy
+            gram = dsyrk(1.0, z.T.astype(np.float64, copy=False), beta=1.0, c=gram,
+                         overwrite_c=1)
+        del z  # release the block before the next one is built
+    q = np.triu(gram)
+    del gram
+    q += np.triu(q, 1).T  # mirror: Q is exactly symmetric
+    q *= -1.0
+    q.flat[:: d + 1] += 1.0  # q = I - gram, in place
     evals = np.linalg.eigvalsh(q)
     if evals[0] < -Q_EIGENVALUE_TOL or evals[-1] > 1.0 + Q_EIGENVALUE_TOL:
         raise ArithmeticError(
@@ -246,6 +288,7 @@ class ComplexityPipeline:
         self.metric = metric if metric is not None else ComplexityMetric()
         self.chain = chain if isinstance(chain, SolverChain) else SolverChain.parse(chain)
         self.dim = self.energies.size
+        self.delta = delta
         self.metric_matrix = self.metric.matrix(self.dim)
         vt = embedding_map(self.metric, self.dim)
         self.basis = LatticeBasis(vt)
@@ -260,6 +303,13 @@ class ComplexityPipeline:
         self._gs: GramSchmidtData | None = None
         if self.chain.base == "babai":
             self._gs = gram_schmidt(self._solve_basis)
+
+    def reduced_gram_schmidt(self) -> GramSchmidtData:
+        """Gram-Schmidt data of the LLL-reduced embedding basis; a chain with
+        LLL already holds it, any other chain reduces the basis here."""
+        if self.chain.use_lll:
+            return self._gs
+        return gram_schmidt(lll_reduce(self.basis, self.delta))
 
     def bound_at(self, t: float):
         """(C_bound(t), integer minimizer in the original winding coordinates)."""

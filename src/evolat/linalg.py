@@ -28,14 +28,24 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _float_dtype(a: np.ndarray):
+    """complex128 for complex input, float64 for everything else."""
+    return np.complex128 if np.iscomplexobj(a) else np.float64
+
+
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Square complex matrix with H = H^dagger enforced at construction."""
+    """Square matrix with H = H^dagger enforced at construction.
+
+    Real input is kept as float64 (a real symmetric matrix), complex input
+    as complex128, so a real Hamiltonian is diagonalized in real arithmetic.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=np.complex128)
+        m = np.array(self.entries)
+        m = m.astype(_float_dtype(m), copy=False)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         scale = max(np.abs(m).max(), 1.0)
@@ -57,7 +67,8 @@ class Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
     energies are real and ascending; vectors holds the eigenvectors as
-    columns, orthonormal to ORTHONORMALITY_TOL.
+    columns, orthonormal to ORTHONORMALITY_TOL.  vectors is float64 when
+    given real and complex128 when given complex.
     """
 
     energies: np.ndarray
@@ -65,7 +76,8 @@ class Spectrum:
 
     def __post_init__(self):
         e = np.asarray(self.energies, dtype=float)
-        v = np.asarray(self.vectors, dtype=np.complex128)
+        v = np.asarray(self.vectors)
+        v = v.astype(_float_dtype(v), copy=False)
         if e.ndim != 1:
             raise ValueError("energies must be a vector")
         if v.shape != (e.size, e.size):
@@ -84,7 +96,8 @@ class Spectrum:
 
 
 def eigendecompose(matrix: HermitianMatrix) -> Spectrum:
-    """Full eigendecomposition, ascending eigenvalues."""
+    """Full eigendecomposition, ascending eigenvalues; real eigenvectors for a
+    real matrix."""
     e, v = np.linalg.eigh(matrix.entries)
     spec = Spectrum(e, v)
     scale = max(np.abs(matrix.entries).max(), 1.0)
@@ -158,8 +171,10 @@ def spectrum_to_json(spectrum: Spectrum) -> str:
 
 
 def spectrum_from_json(text: str) -> Spectrum:
+    """Inverse of spectrum_to_json; all-zero vectors_im gives real vectors."""
     payload = json.loads(text)
-    v = np.array(payload["vectors_re"], dtype=float) + 1j * np.array(
-        payload["vectors_im"], dtype=float
-    )
+    v = np.array(payload["vectors_re"], dtype=float)
+    im = np.array(payload["vectors_im"], dtype=float)
+    if np.any(im != 0.0):
+        v = v + 1j * im
     return Spectrum(np.array(payload["energies"], dtype=float), v)

@@ -14,11 +14,12 @@ seeded random scheme.
 from __future__ import annotations
 
 import io
-import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
+from .engine import block_rows
 from .linalg import HermitianMatrix, Spectrum
 
 MAX_BLOCK_STATES = 20_000
@@ -319,7 +320,14 @@ def locality_table(block: FockBlock) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ResonantClassifier:
-    """Local operators = |a><b| over state pairs with locality <= threshold."""
+    """Local operators span |a><b| over state pairs with locality <= threshold.
+
+    The diagonals come from a Hermitian orthonormal basis of the same span:
+    |a><a| for each state, (|a><b| + |b><a|)/sqrt(2) for each local pair
+    a < b, and i(|a><b| - |b><a|)/sqrt(2) as well when the eigenvectors are
+    complex.  Its rows sqrt(2) Re(conj(V_a) V_b) and sqrt(2) Im(conj(V_a) V_b)
+    are real, and the Gram matrix equals that of the |a><b| set.
+    """
 
     block: FockBlock
     threshold: int
@@ -328,17 +336,37 @@ class ResonantClassifier:
         if self.threshold < 0:
             raise ValueError("threshold must be non-negative")
 
+    def _local_mask(self) -> np.ndarray:
+        local = locality_table(self.block) <= self.threshold
+        if not np.array_equal(local, local.T):
+            raise ValueError("locality table is not symmetric; the a<->b fold needs it")
+        return local
+
     def local_pairs(self) -> np.ndarray:
-        loc = locality_table(self.block)
-        a, b = np.nonzero(loc <= self.threshold)
+        """Ordered pairs (a, b), one per generator |a><b|."""
+        a, b = np.nonzero(self._local_mask())
         return np.stack([a, b], axis=1)
 
-    def local_diagonals(self, spectrum: Spectrum) -> np.ndarray:
+    def local_diagonals(self, spectrum: Spectrum) -> Iterator[np.ndarray]:
         if spectrum.dim != self.block.dim:
             raise ValueError("spectrum dimension does not match block")
         v = spectrum.vectors
-        pairs = self.local_pairs()
-        return v[pairs[:, 0], :].conj() * v[pairs[:, 1], :]
+        a, b = np.nonzero(np.triu(self._local_mask()))  # a <= b
+        scale = np.where(a == b, 1.0, np.sqrt(2.0))[:, None]
+        # a block of rows lives next to one gathered copy of the same size
+        rows = block_rows(v.shape[1], 2 * v.itemsize)
+        for start in range(0, a.size, rows):
+            sl = slice(start, start + rows)
+            prod = v[a[sl]]
+            if np.iscomplexobj(prod):
+                np.conjugate(prod, out=prod)
+            prod *= v[b[sl]]
+            if np.iscomplexobj(prod):
+                yield prod.real * scale[sl]
+                yield prod.imag[a[sl] != b[sl]] * np.sqrt(2.0)
+            else:
+                prod *= scale[sl]
+                yield prod
 
 
 def resonant_locality_classifier(block: FockBlock, threshold: int) -> ResonantClassifier:

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 import scipy.linalg
 
+from .engine import block_rows, real_block
 from .linalg import HermitianMatrix, Spectrum
 
 MAX_MODES = 28
@@ -262,15 +264,22 @@ class MonomialClassifier:
         for w in range(start, self.threshold + 1):
             yield from itertools.combinations(range(self.rep.n_modes), w)
 
-    def local_diagonals(self, spectrum: Spectrum) -> np.ndarray:
+    def local_diagonals(self, spectrum: Spectrum) -> Iterator[np.ndarray]:
+        """Real blocks of monomial diagonals <n|T|n>, a chunk of monomials
+        per block; each diagonal's imaginary part is checked before it is
+        dropped."""
         if spectrum.dim != self.rep.dim:
             raise ValueError("spectrum dimension does not match representation")
         v = spectrum.vectors
-        rows = []
-        for subset in self.local_subsets():
-            t = monomial_matrix(self.rep, subset)
-            rows.append(np.einsum("in,in->n", v.conj(), t @ v))
-        return np.array(rows)
+        vc = v.conj()
+        rows = block_rows(spectrum.dim, 8)
+        subsets = self.local_subsets()
+        while chunk := list(itertools.islice(subsets, rows)):
+            z = np.empty((len(chunk), spectrum.dim))
+            for i, subset in enumerate(chunk):
+                t = monomial_matrix(self.rep, subset)
+                z[i] = real_block(np.einsum("in,in->n", vc, t @ v))
+            yield z
 
 
 def syk_locality_classifier(

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from evolat import linalg
+from evolat import cli, engine, lattice, linalg
 from evolat.cli import COMMANDS, PRESETS, _config_hash, main
 
 
@@ -229,6 +229,30 @@ def test_plateau_matches_estimate(tmp_path):
     assert meta["variance"] > 0.0
 
 
+@pytest.mark.parametrize("chain", ["lll+babai+greedy", "babai+greedy"])
+def test_plateau_estimate_reuses_pipeline_reduction(tmp_path, chain):
+    """The estimate from the pipeline's own LLL basis is the one a second,
+    separate reduction of the embedding basis gives, to the last bit."""
+    cfg = {
+        "model": {"family": "resonant", "kind": "truncated",
+                  "n_particles": 10, "total_level": 10},
+        "threshold": 2,
+        "mu": "dim",
+        "chain": chain,
+        "times": {"start": 20000.0, "stop": 24000.0, "count": 21},
+        "window": [20000.0, 24000.0],
+    }
+    out = run(tmp_path, "plateau", cfg, "plateau_reuse")
+    meta = json.load(open(out / "plateau.json"))
+    bundle = cli._build_model(cfg)
+    metric, _ = cli._metric_for(cfg, bundle)
+    pipeline = engine.ComplexityPipeline(bundle.spectrum.energies, metric, chain)
+    fresh = lattice.gram_schmidt(lattice.lll_reduce(pipeline.basis))
+    reused = pipeline.reduced_gram_schmidt()
+    assert np.array_equal(reused.star_sq, fresh.star_sq)
+    assert meta["estimate"] == lattice.plateau_estimate(fresh)
+
+
 # ---------------------------------------------------------------- cvp
 
 def test_cvp_ladder_artifact(tmp_path, cvp6):
@@ -244,11 +268,22 @@ def test_cvp_ladder_artifact(tmp_path, cvp6):
     assert abs(brute["distance"] - cvp6["optimal_distance"]) < 1e-9
     basis = np.array(cvp6["basis"], dtype=float).T
     target = np.array(cvp6["target"], dtype=float)
+    timing = json.load(open(out / "cvp_timing.json"))
+    assert timing["config_hash"] == meta["config_hash"]
+    assert [t["method"] for t in timing["methods"]] == [e["method"] for e in meta["methods"]]
+    for t in timing["methods"]:
+        assert t["wall_time_s"] >= 0.0
     for entry in meta["methods"]:
         assert entry["distance"] >= brute["distance"] - 1e-9
-        assert entry["wall_time_s"] >= 0.0
         recomputed = np.linalg.norm(basis @ np.array(entry["coeffs"]) - target)
         assert abs(recomputed - entry["distance"]) < 1e-9
+
+
+def test_cvp_runs_are_byte_identical(tmp_path, cvp6):
+    cfg = {"basis": cvp6["basis"], "target": cvp6["target"]}
+    first = run(tmp_path, "cvp", cfg, "cvp_a")
+    second = run(tmp_path, "cvp", cfg, "cvp_b")
+    assert (first / "cvp.json").read_bytes() == (second / "cvp.json").read_bytes()
 
 
 def test_cvp_requires_instance_fields(tmp_path):

@@ -21,13 +21,14 @@ from evolat.linalg import HermitianMatrix, Spectrum, eigendecompose, normalize_e
 
 
 class ArrayClassifier:
-    """Test stand-in: rows are diagonal vectors of the local generators."""
+    """Test stand-in: rows are diagonal vectors of the local generators,
+    yielded as a single block."""
 
     def __init__(self, rows):
         self.rows = np.asarray(rows)
 
     def local_diagonals(self, spectrum):
-        return self.rows
+        yield self.rows
 
 
 def projector_q(energies):

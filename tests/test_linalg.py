@@ -161,6 +161,7 @@ def test_spectrum_json_round_trip():
     back = spectrum_from_json(spectrum_to_json(s))
     assert np.abs(back.energies - s.energies).max() < 1e-15
     assert np.abs(back.vectors - s.vectors).max() < 1e-15
+    assert s.vectors.dtype == back.vectors.dtype == np.float64
 
 
 def test_spectrum_json_complex_vectors():
@@ -168,3 +169,4 @@ def test_spectrum_json_complex_vectors():
     s = eigendecompose(HermitianMatrix(a))
     back = spectrum_from_json(spectrum_to_json(s))
     assert np.abs(back.vectors - s.vectors).max() < 1e-15
+    assert back.vectors.dtype == np.complex128

@@ -247,15 +247,24 @@ def test_classifier_pair_counts():
 
 
 def test_classifier_diagonals_formula():
+    """Real 2-D blocks: |V_a|^2 per state, then sqrt(2) Re(conj(V_a) V_b)
+    per local pair a < b, in row-major order of the pairs."""
     blk = enumerate_block(4, 4)
     h = build_block_hamiltonian(blk, coupling_random(2))
     spec = eigendecompose(h)
     cls = resonant_locality_classifier(blk, 2)
-    rows = cls.local_diagonals(spec)
+    blocks = list(cls.local_diagonals(spec))
+    for z in blocks:
+        assert z.dtype == np.float64 and z.ndim == 2 and z.shape[1] == blk.dim
+    rows = np.vstack(blocks)
     pairs = cls.local_pairs()
-    assert rows.shape == (len(pairs), blk.dim)
-    for r, (a, b) in zip(rows, pairs):
-        expect = spec.vectors[a, :].conj() * spec.vectors[b, :]
+    upper = pairs[pairs[:, 0] <= pairs[:, 1]]
+    assert rows.shape == (blk.dim + (len(pairs) - blk.dim) // 2, blk.dim)
+    assert len(upper) == rows.shape[0]
+    v = spec.vectors
+    for r, (a, b) in zip(rows, upper):
+        scale = 1.0 if a == b else np.sqrt(2.0)
+        expect = scale * np.real(v[a, :].conj() * v[b, :])
         assert np.abs(r - expect).max() < 1e-15
 
 

@@ -255,8 +255,15 @@ def test_classifier_counts_and_shape(rep8):
     subsets = list(cls.local_subsets())
     assert len(subsets) == 8 + 28  # weights 1 and 2, identity excluded
     spec = eigendecompose(free_syk(rep8, sample_quadratic_couplings(8, np.random.default_rng(0))))
-    rows = cls.local_diagonals(spec)
+    blocks = list(cls.local_diagonals(spec))
+    for z in blocks:
+        assert z.dtype == np.float64 and z.ndim == 2 and z.shape[1] == rep8.dim
+    rows = np.vstack(blocks)
     assert rows.shape == (36, rep8.dim)
+    v = spec.vectors
+    for r, subset in zip(rows, subsets):
+        expect = np.einsum("in,in->n", v.conj(), monomial_matrix(rep8, subset) @ v)
+        assert np.abs(r - expect).max() < 1e-14
 
 
 def test_classifier_identity_toggle(rep8):
