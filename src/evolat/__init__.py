@@ -10,22 +10,16 @@ from .engine import (
     PlateauStats,
     bi_invariant_complexity,
     bi_invariant_trace,
-    complexity_bound_at,
     complexity_ceiling,
-    embed_cvp,
     local_conservation_laws,
     nonlocality_matrix,
     plateau_stats,
-    sweep,
 )
 from .lattice import (
-    CvpInstance,
-    GramSchmidtData,
-    LatticeBasis,
+    TriangularLattice,
     babai_nearest_plane,
-    brute_force_cvp,
     covering_radius_bound,
-    gram_schmidt,
+    enumerate_cvp,
     greedy_descent,
     lll_reduce,
     method_ladder,

@@ -233,20 +233,20 @@ def _default_threshold(cfg: dict) -> int:
     return 2
 
 
-def _metric_for(cfg: dict, bundle: ModelBundle):
-    """Resolve (metric, q or None) from mu/nu/threshold settings."""
+def _metric_for(cfg: dict, bundle: ModelBundle) -> engine.ComplexityMetric:
+    """Resolve the metric from mu/nu/threshold settings."""
     dim = bundle.spectrum.dim
     mu = cfg.get("mu", 1.0)
     mu = float(dim) if mu == "dim" else float(mu)
     nu = cfg.get("nu", 0.0)
     nu = 1e3 * mu if nu == "su" else float(nu)
-    if mu == 1.0 and nu == 0.0:
-        return engine.ComplexityMetric(), None
+    if mu == 1.0:  # Q carries weight mu - 1, so it is not built
+        return engine.ComplexityMetric(nu=nu)
     if bundle.classifier is None:
         raise SystemExit(f"model {bundle.name} has no locality structure; use mu = 1")
     thr = int(cfg.get("threshold", _default_threshold(cfg)))
     q = engine.nonlocality_matrix(bundle.spectrum, bundle.classifier(thr))
-    return engine.ComplexityMetric(mu=mu, nu=nu, q=q), q
+    return engine.ComplexityMetric(mu=mu, nu=nu, q=q)
 
 
 def _times(cfg: dict) -> np.ndarray:
@@ -277,8 +277,6 @@ def _load_config(args) -> dict:
         raise SystemExit("a --config file or --preset name is required")
     if args.seed is not None:
         cfg.setdefault("model", {})["seed"] = args.seed
-    if args.threads is not None:
-        cfg["threads"] = args.threads
     return cfg
 
 
@@ -314,12 +312,11 @@ def cmd_gen(cfg: dict, outdir: Path) -> int:
 def _run_sweep(cfg: dict, bundle: ModelBundle):
     times = _times(cfg)
     chain = cfg.get("chain", engine.DEFAULT_CHAIN)
-    threads = int(cfg.get("threads", 1))
     if chain == "biinvariant":
         return engine.bi_invariant_trace(bundle.spectrum.energies, times), None
-    metric, _ = _metric_for(cfg, bundle)
+    metric = _metric_for(cfg, bundle)
     pipeline = engine.ComplexityPipeline(bundle.spectrum.energies, metric, chain)
-    return pipeline.sweep(times, threads=threads), pipeline
+    return pipeline.sweep(times), pipeline
 
 
 def cmd_bound(cfg: dict, outdir: Path) -> int:
@@ -397,7 +394,7 @@ def cmd_plateau(cfg: dict, outdir: Path) -> int:
     window = tuple(cfg.get("window", (trace.times[0], trace.times[-1])))
     stats = engine.plateau_stats(trace, window)
     if pipeline is not None:
-        estimate = lattice.plateau_estimate(pipeline.reduced_gram_schmidt())
+        estimate = lattice.plateau_estimate(pipeline.reduced_lattice())
     else:
         estimate = float(np.pi * np.sqrt(bundle.spectrum.dim / 3.0))
     meta = _meta(
@@ -418,15 +415,17 @@ def cmd_plateau(cfg: dict, outdir: Path) -> int:
 def cmd_cvp(cfg: dict, outdir: Path) -> int:
     if "basis" not in cfg or "target" not in cfg:
         raise SystemExit("cvp config must hold a basis (list of columns) and a target")
-    basis = lattice.LatticeBasis(np.array(cfg["basis"], dtype=float).T)
-    instance = lattice.CvpInstance(basis, np.array(cfg["target"], dtype=float))
-    radius = cfg.get("radius")
-    entries = lattice.method_ladder(instance, radius=radius)
+    basis = np.array(cfg["basis"], dtype=float).T
+    target = np.array(cfg["target"], dtype=float)
+    entries = lattice.method_ladder(lattice.TriangularLattice.from_columns(basis, target))
+    # distances measured in the input basis rather than in its triangular frame
+    dist = {e.method: float(np.linalg.norm(basis @ e.coeffs.astype(float) - target))
+            for e in entries}
     meta = _meta(
         cfg,
-        dim=basis.dim,
+        dim=target.size,
         methods=[
-            {"method": e.method, "coeffs": e.coeffs.tolist(), "distance": e.distance}
+            {"method": e.method, "coeffs": e.coeffs.tolist(), "distance": dist[e.method]}
             for e in entries
         ],
     )
@@ -437,8 +436,8 @@ def cmd_cvp(cfg: dict, outdir: Path) -> int:
         "methods": [{"method": e.method, "wall_time_s": e.seconds} for e in entries],
     }
     _atomic_write(outdir / "cvp_timing.json", _json_text(timing))
-    best = min(entries, key=lambda e: e.distance)
-    print(f"wrote {outdir / 'cvp.json'} (best {best.method}: {best.distance:.6f})")
+    best = min(dist, key=dist.get)
+    print(f"wrote {outdir / 'cvp.json'} (best {best}: {dist[best]:.6f})")
     return 0
 
 
@@ -464,7 +463,6 @@ def main(argv=None) -> int:
         p.add_argument("--preset", help=f"named preset ({', '.join(sorted(PRESETS))})")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the model seed")
-        p.add_argument("--threads", type=int, default=None, help="sweep worker threads")
     args = parser.parse_args(argv)
     cfg = _load_config(args)
     outdir = Path(args.out)

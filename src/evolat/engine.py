@@ -9,13 +9,13 @@ time evolution operator at time t is bounded by minimizing
 over integer vectors k.  Q is built from a locality classifier and measures
 how much of each energy eigenprojector is invisible to local probes; mu = 1
 collapses everything to independent angle windings (the bi-invariant case).
-The minimization is a closest-vector problem on the lattice generated by the
-columns of the metric square root, handled by the solvers in `lattice`.
+With the Cholesky factor G = R^T R of the bracketed metric, this is the
+closest-vector problem min |R k - R E t / 2 pi| on the triangular lattice R,
+handled by the solvers in `lattice`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
@@ -24,11 +24,8 @@ from scipy.linalg.blas import dsyrk
 
 from .lattice import (
     LLL_DELTA_DEFAULT,
-    CvpInstance,
-    GramSchmidtData,
-    LatticeBasis,
+    TriangularLattice,
     babai_nearest_plane,
-    gram_schmidt,
     greedy_descent,
     lll_reduce,
     lll_reduce_with_transform,
@@ -93,9 +90,13 @@ class NonlocalityMatrix:
         dev = np.abs(m - m.T).max()
         if dev > 1e-12 * max(1.0, np.abs(m).max()):
             raise ValueError(f"matrix not symmetric, deviation {dev:.3e}")
-        for a in (m, np.asarray(self.eigenvalues, dtype=float)):
+        evals = np.array(self.eigenvalues, dtype=float)
+        if evals.shape != (m.shape[0],):
+            raise ValueError(f"{evals.shape} eigenvalues for a {m.shape[0]}-dim matrix")
+        for a in (m, evals):
             a.flags.writeable = False
         object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "eigenvalues", evals)
 
     @property
     def dim(self) -> int:
@@ -178,22 +179,6 @@ def su_metric(q: NonlocalityMatrix, mu: float, nu_factor: float = 1e3) -> Comple
     return ComplexityMetric(mu=mu, nu=nu_factor * mu, q=q)
 
 
-def embedding_map(metric: ComplexityMetric, dim: int) -> np.ndarray:
-    """Square root factor W of the metric, G = W^T W, via eigendecomposition."""
-    g = metric.matrix(dim)
-    w, u = np.linalg.eigh(g)
-    if w[0] <= 0.0:
-        raise ArithmeticError(f"metric not positive definite, smallest eigenvalue {w[0]:.3e}")
-    return np.sqrt(w)[:, None] * u.T
-
-
-def embed_cvp(metric: ComplexityMetric, energies: np.ndarray, t: float) -> CvpInstance:
-    """The closest-vector instance whose minimum distance times 2 pi is C(t)."""
-    e = np.asarray(energies, dtype=float)
-    vt = embedding_map(metric, e.size)
-    return CvpInstance(LatticeBasis(vt), vt @ e * (t / TWO_PI))
-
-
 def complexity_ceiling(mu: float, dim: int) -> float:
     """No optimized bound exceeds pi * sqrt(mu * dim)."""
     return float(np.pi * np.sqrt(mu * dim))
@@ -273,9 +258,9 @@ class PlateauStats:
 
 
 class ComplexityPipeline:
-    """Caches the embedding, LLL reduction, and Gram-Schmidt data for one
-    (energies, metric, chain) combination so that time sweeps only pay for
-    the per-time solve."""
+    """Caches the triangular lattice, reduced by LLL when the chain asks for
+    it, for one (energies, metric, chain) combination so that time sweeps
+    only pay for the per-time solve."""
 
     def __init__(
         self,
@@ -290,41 +275,36 @@ class ComplexityPipeline:
         self.dim = self.energies.size
         self.delta = delta
         self.metric_matrix = self.metric.matrix(self.dim)
-        vt = embedding_map(self.metric, self.dim)
-        self.basis = LatticeBasis(vt)
-        self._embedded_energies = vt @ self.energies
+        try:
+            r = np.linalg.cholesky(self.metric_matrix).T
+        except np.linalg.LinAlgError:
+            raise ArithmeticError("metric is not positive definite") from None
+        # the target at t = 2 pi; bound_at scales it to each time
+        self.lattice = TriangularLattice(r, r @ self.energies)
+        self._transform = None
+        self._solve_lattice = self.lattice
         if self.chain.use_lll:
-            reduced, transform = lll_reduce_with_transform(self.basis, delta)
-            self._solve_basis = reduced
+            self._solve_lattice, transform = lll_reduce_with_transform(self.lattice, delta)
             self._transform = transform.astype(np.int64)
-        else:
-            self._solve_basis = self.basis
-            self._transform = None
-        self._gs: GramSchmidtData | None = None
-        if self.chain.base == "babai":
-            self._gs = gram_schmidt(self._solve_basis)
 
-    def reduced_gram_schmidt(self) -> GramSchmidtData:
-        """Gram-Schmidt data of the LLL-reduced embedding basis; a chain with
-        LLL already holds it, any other chain reduces the basis here."""
+    def reduced_lattice(self) -> TriangularLattice:
+        """The LLL-reduced lattice; a chain with LLL already holds it, any
+        other chain reduces here."""
         if self.chain.use_lll:
-            return self._gs
-        return gram_schmidt(lll_reduce(self.basis, self.delta))
+            return self._solve_lattice
+        return lll_reduce(self.lattice, self.delta)
 
     def bound_at(self, t: float):
         """(C_bound(t), integer minimizer in the original winding coordinates)."""
-        target = self._embedded_energies * (t / TWO_PI)
+        lat = self._solve_lattice.with_target(self._solve_lattice.target * (t / TWO_PI))
         if self.chain.base == "naive":
             coeffs = round_half_away(self.energies * (t / TWO_PI)).astype(np.int64)
         else:
-            instance = CvpInstance(self._solve_basis, target)
-            coeffs = babai_nearest_plane(instance, self._gs)
+            coeffs = babai_nearest_plane(lat)
         if self.chain.use_greedy:
-            instance = CvpInstance(self._solve_basis, target)
-            coeffs = greedy_descent(instance, coeffs)
+            coeffs = greedy_descent(lat, coeffs)
         k = coeffs if self._transform is None else self._transform @ coeffs
-        dist = np.linalg.norm(self._solve_basis.columns @ coeffs.astype(float) - target)
-        value = TWO_PI * float(dist)
+        value = TWO_PI * lat.distance(coeffs)
         resid = self.energies * t - TWO_PI * k.astype(float)
         audit = float(np.sqrt(resid @ self.metric_matrix @ resid))
         if abs(value - audit) > AUDIT_TOL * max(1.0, value):
@@ -333,38 +313,14 @@ class ComplexityPipeline:
             )
         return value, k
 
-    def sweep(self, times: Sequence[float], threads: int = 1) -> ComplexityTrace:
+    def sweep(self, times: Sequence[float]) -> ComplexityTrace:
         ts = np.asarray(times, dtype=float)
         if ts.ndim != 1 or (ts.size > 1 and np.any(np.diff(ts) <= 0)):
             raise ValueError("times must be strictly increasing")
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(self.bound_at, ts))
-        else:
-            results = [self.bound_at(t) for t in ts]
+        results = [self.bound_at(t) for t in ts]
         values = np.array([v for v, _ in results])
         ks = np.array([k for _, k in results], dtype=np.int64)
         return ComplexityTrace(ts, values, self.chain.label(), ks)
-
-
-def complexity_bound_at(
-    energies: np.ndarray,
-    t: float,
-    metric: ComplexityMetric | None = None,
-    chain: str = DEFAULT_CHAIN,
-):
-    return ComplexityPipeline(energies, metric, chain).bound_at(t)
-
-
-def sweep(
-    energies: np.ndarray,
-    times: Sequence[float],
-    metric: ComplexityMetric | None = None,
-    chain: str = DEFAULT_CHAIN,
-    threads: int = 1,
-    delta: float = LLL_DELTA_DEFAULT,
-) -> ComplexityTrace:
-    return ComplexityPipeline(energies, metric, chain, delta).sweep(times, threads)
 
 
 def bi_invariant_trace(energies: np.ndarray, times: Sequence[float]) -> ComplexityTrace:

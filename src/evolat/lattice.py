@@ -1,17 +1,21 @@
-"""Lattice bases and approximate closest-vector solvers.
+"""Lattices in triangular form and closest-vector solvers.
 
-A lattice is represented by a square full-rank matrix whose columns are the
-basis vectors.  The solvers form a quality ladder: naive coefficient rounding,
-the Babai nearest-plane walk, both optionally preceded by LLL reduction, a
-greedy coordinate descent refinement, and an exhaustive search usable as an
-oracle in low dimension.
+A lattice is an upper-triangular matrix R with positive diagonal, whose
+columns are the basis vectors, held with a target in the same coordinates.
+R carries the Gram-Schmidt profile: |b*_i| = R[i, i] and
+mu[i, j] = R[j, i] / R[j, j].  A general basis B = frame @ R is brought to
+this form by one QR factorization, which rotates its target by frame^T.
+
+The solvers form a quality ladder: naive coefficient rounding, the Babai
+nearest-plane walk, both optionally preceded by LLL reduction, a greedy
+coordinate descent refinement, and exact Schnorr-Euchner enumeration.
 
 Rounding convention: ties at half-integers round away from zero.
 """
 
 from __future__ import annotations
 
-import warnings
+import copy
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -20,21 +24,13 @@ import numpy as np
 LLL_DELTA_DEFAULT = 0.99
 LLL_REFRESH_EVERY = 64
 GREEDY_MAX_MOVES = 10_000
-BRUTE_FORCE_MAX_DIM = 12
-BRUTE_FORCE_RADIUS_DEFAULT = 4
+ENUM_MAX_NODES = 1_000_000
+EXACT_MAX_DIM = 12  # the ladder's exact rung runs up to this dimension
 RANK_TOL = 1e-10
-
-# small slack on the exact-arithmetic definitions of the reduction conditions,
-# everything here runs in float64
-SIZE_REDUCTION_SLACK = 1e-9
 
 
 class IterationCapError(RuntimeError):
     """A solver exceeded its iteration budget."""
-
-
-class BoxBoundaryWarning(UserWarning):
-    """Exhaustive search found its optimum on the search-box boundary."""
 
 
 def round_half_away(x):
@@ -42,136 +38,108 @@ def round_half_away(x):
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
-    """Columns of `columns` generate the lattice; must be square, full rank."""
-
-    columns: np.ndarray
-
-    def __post_init__(self):
-        b = np.array(self.columns, dtype=float)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValueError(f"basis must be square, got shape {b.shape}")
-        sv = np.linalg.svd(b, compute_uv=False)
-        if sv[-1] <= RANK_TOL * sv[0]:
-            raise ValueError(
-                f"basis is numerically rank deficient: "
-                f"singular value ratio {sv[-1] / sv[0]:.3e}"
-            )
-        b.flags.writeable = False
-        object.__setattr__(self, "columns", b)
-
-    @property
-    def dim(self) -> int:
-        return self.columns.shape[0]
+def _target(target, dim: int) -> np.ndarray:
+    t = np.array(target, dtype=float)
+    if t.shape != (dim,):
+        raise ValueError(f"target shape {t.shape} does not match basis dimension {dim}")
+    t.flags.writeable = False
+    return t
 
 
-@dataclass(frozen=True)
-class GramSchmidtData:
-    """Gram-Schmidt profile of a basis.
+def _profile(r: np.ndarray):
+    """star_sq and strictly lower-triangular mu of an upper-triangular r."""
+    diag = np.diag(r)
+    return diag**2, np.tril(r.T / diag, -1)
 
-    star_sq[i] is the squared length of the i-th orthogonalized vector,
-    mu[i, j] (strictly lower triangular) the projection coefficient of basis
-    vector i on orthogonalized vector j, and frame holds the orthonormalized
-    directions as columns.
-    """
 
-    star_sq: np.ndarray
-    mu: np.ndarray
-    frame: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.star_sq, dtype=float)
-        m = np.asarray(self.mu, dtype=float)
-        f = np.asarray(self.frame, dtype=float)
-        d = s.size
-        if m.shape != (d, d) or f.shape != (d, d):
-            raise ValueError("inconsistent Gram-Schmidt data shapes")
-        if np.any(s <= 0):
-            raise ValueError("orthogonalized vectors must have positive length")
-        if np.abs(np.triu(m)).max() > 0:
-            raise ValueError("mu must be strictly lower triangular")
-        for a in (s, m, f):
-            a.flags.writeable = False
-        object.__setattr__(self, "star_sq", s)
-        object.__setattr__(self, "mu", m)
-        object.__setattr__(self, "frame", f)
-
-    @property
-    def dim(self) -> int:
-        return self.star_sq.size
-
-    def r_matrix(self) -> np.ndarray:
-        """Upper-triangular factor: basis = frame @ R, R[i, i] = |b*_i|."""
-        d = self.dim
-        r = (self.mu + np.eye(d)).T * np.sqrt(self.star_sq)[:, None]
-        return np.triu(r)
+def triangularize(columns) -> tuple[np.ndarray, np.ndarray]:
+    """(frame, r) with columns = frame @ r, frame orthogonal and r upper
+    triangular with nonnegative diagonal: a sign-fixed QR factorization."""
+    b = np.asarray(columns, dtype=float)
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        raise ValueError(f"basis must be square, got shape {b.shape}")
+    q, r = np.linalg.qr(b)
+    flip = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    q *= flip
+    r *= flip[:, None]
+    dev = np.abs(q @ r - b).max()
+    if dev > 1e-9 * max(np.abs(b).max(), 1.0):
+        raise ArithmeticError(f"QR reconstruction off by {dev:.3e}")
+    return q, r
 
 
 @dataclass(frozen=True)
-class CvpInstance:
-    """A closest-vector problem: minimize |basis @ k - target| over integer k."""
+class TriangularLattice:
+    """The problem min |r @ k - target| over integer k: the lattice spanned
+    by the columns of an upper-triangular r with positive diagonal, and a
+    target in the same coordinates."""
 
-    basis: LatticeBasis
+    r: np.ndarray
     target: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.target, dtype=float)
-        if t.shape != (self.basis.dim,):
+        r = np.array(self.r, dtype=float)
+        if r.ndim != 2 or r.shape[0] != r.shape[1] or r.size == 0:
+            raise ValueError(f"basis must be square, got shape {r.shape}")
+        if np.any(np.tril(r, -1)):
+            raise ValueError("r must be upper triangular")
+        diag = np.diag(r)
+        if diag.min() <= RANK_TOL * np.abs(diag).max():
             raise ValueError(
-                f"target shape {t.shape} does not match basis dimension {self.basis.dim}"
+                f"basis is numerically rank deficient or r is not sign-fixed: "
+                f"diagonal spans [{diag.min():.3e}, {diag.max():.3e}]"
             )
-        t.flags.writeable = False
-        object.__setattr__(self, "target", t)
+        r.flags.writeable = False
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "target", _target(self.target, r.shape[0]))
 
-    def point(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.basis.columns @ np.asarray(coeffs, dtype=float)
+    @classmethod
+    def from_columns(cls, columns, target) -> "TriangularLattice":
+        """The lattice of a general square basis, target rotated along."""
+        frame, r = triangularize(columns)
+        return cls(r, frame.T @ _target(target, r.shape[0]))
+
+    def with_target(self, target) -> "TriangularLattice":
+        """The same lattice with another target; r is not checked again."""
+        out = copy.copy(self)
+        object.__setattr__(out, "target", _target(target, self.dim))
+        return out
+
+    @property
+    def dim(self) -> int:
+        return self.r.shape[0]
+
+    @property
+    def columns(self) -> np.ndarray:
+        """The basis vectors as columns, which is r itself."""
+        return self.r
+
+    @property
+    def star_sq(self) -> np.ndarray:
+        return np.diag(self.r) ** 2
+
+    @property
+    def mu(self) -> np.ndarray:
+        return _profile(self.r)[1]
 
     def distance(self, coeffs: np.ndarray) -> float:
-        return float(np.linalg.norm(self.point(coeffs) - self.target))
+        return float(np.linalg.norm(self.r @ np.asarray(coeffs, dtype=float) - self.target))
 
 
-def gram_schmidt(basis: LatticeBasis) -> GramSchmidtData:
-    """Gram-Schmidt profile via QR, diagonal of R made positive."""
-    q, r = np.linalg.qr(basis.columns)
-    flip = np.sign(np.diag(r))
-    flip[flip == 0] = 1.0
-    q = q * flip
-    r = r * flip[:, None]
-    diag = np.diag(r)
-    mu = np.tril(r.T / diag, -1)
-    data = GramSchmidtData(diag**2, mu, q)
-    scale = max(np.abs(basis.columns).max(), 1.0)
-    dev = np.abs(q @ data.r_matrix() - basis.columns).max()
-    if dev > 1e-9 * scale:
-        raise ArithmeticError(f"Gram-Schmidt reconstruction off by {dev:.3e}")
-    return data
+def lll_reduce_with_transform(lattice: TriangularLattice, delta: float = LLL_DELTA_DEFAULT):
+    """LLL reduction returning (reduced lattice, integer transform U).
 
-
-def _gs_profile(b: np.ndarray):
-    """star_sq and mu of the columns of b, without constructing types."""
-    q, r = np.linalg.qr(b)
-    diag = np.diag(r).copy()
-    sign = np.sign(diag)
-    sign[sign == 0] = 1.0
-    r = r * sign[:, None]
-    diag = np.abs(diag)
-    mu = np.tril(r.T / diag, -1)
-    return diag**2, mu
-
-
-def lll_reduce_with_transform(basis: LatticeBasis, delta: float = LLL_DELTA_DEFAULT):
-    """LLL reduction returning (reduced basis, integer transform U).
-
-    The returned transform satisfies reduced.columns == basis.columns @ U with
-    U unimodular; it is accumulated in exact integer arithmetic.  Raises
+    The reduced basis is lattice.r @ U with U unimodular, accumulated in exact
+    integer arithmetic; it is triangularized once at the end and its target
+    rotated into the new frame, so the distance of any k under the reduced
+    lattice is the distance of U @ k under the input.  Raises
     IterationCapError after 10 * dim**2 swaps.
     """
     if not (0.25 < delta <= 1.0):
         raise ValueError(f"delta must lie in (1/4, 1], got {delta}")
-    d = basis.dim
-    b = np.array(basis.columns, dtype=float)
-    star, mu = _gs_profile(b)
+    d = lattice.dim
+    b = np.array(lattice.r)
+    star, mu = _profile(lattice.r)
     u = np.eye(d, dtype=object)  # Python ints, no overflow
     swap_cap = 10 * d * d
     swaps = 0
@@ -197,7 +165,7 @@ def lll_reduce_with_transform(basis: LatticeBasis, delta: float = LLL_DELTA_DEFA
         u[:, [k - 1, k]] = u[:, [k, k - 1]]
         if swaps % LLL_REFRESH_EVERY == 0:
             # periodic re-orthogonalization bounds floating-point drift
-            star, mu = _gs_profile(b)
+            star, mu = _profile(triangularize(b)[1])
         else:
             nu = mu[k, k - 1]
             big = star[k] + nu * nu * star[k - 1]
@@ -211,68 +179,45 @@ def lll_reduce_with_transform(basis: LatticeBasis, delta: float = LLL_DELTA_DEFA
                 mu[i, k] = mu[i, k - 1] - nu * t
                 mu[i, k - 1] = t + mu_new * mu[i, k]
         k = max(k - 1, 1)
-    return LatticeBasis(b), u
+    frame, r = triangularize(b)
+    return TriangularLattice(r, frame.T @ lattice.target), u
 
 
-def lll_reduce(basis: LatticeBasis, delta: float = LLL_DELTA_DEFAULT) -> LatticeBasis:
-    reduced, _ = lll_reduce_with_transform(basis, delta)
+def lll_reduce(lattice: TriangularLattice, delta: float = LLL_DELTA_DEFAULT) -> TriangularLattice:
+    reduced, _ = lll_reduce_with_transform(lattice, delta)
     return reduced
 
 
-def integer_determinant(matrix) -> int:
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
-    m = [[int(x) for x in row] for row in np.asarray(matrix)]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        if m[col][col] == 0:
-            pivot = next((r for r in range(col + 1, n) if m[r][col] != 0), None)
-            if pivot is None:
-                return 0
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                m[i][j] = (m[i][j] * m[col][col] - m[i][col] * m[col][j]) // prev
-        prev = m[col][col]
-    return sign * m[n - 1][n - 1]
-
-
-def naive_round(instance: CvpInstance) -> np.ndarray:
+def naive_round(lattice: TriangularLattice) -> np.ndarray:
     """Round the coefficients of the target in the given basis."""
-    c = np.linalg.solve(instance.basis.columns, instance.target)
+    c = np.linalg.solve(lattice.r, lattice.target)
     return round_half_away(c).astype(np.int64)
 
 
-def babai_nearest_plane(instance: CvpInstance, gs: GramSchmidtData) -> np.ndarray:
-    """Babai's nearest-plane walk, one rounding per Gram-Schmidt level.
+def babai_nearest_plane(lattice: TriangularLattice) -> np.ndarray:
+    """Babai's nearest-plane walk, one rounding per level of r.
 
     The returned point is within (1/2) * sqrt(sum star_sq) of the target.
     """
-    if gs.dim != instance.basis.dim:
-        raise ValueError("Gram-Schmidt data does not match instance dimension")
-    r = gs.r_matrix()
-    y = gs.frame.T @ instance.target
-    d = gs.dim
-    c = np.zeros(d, dtype=np.int64)
-    for i in range(d - 1, -1, -1):
+    r, y = lattice.r, lattice.target
+    c = np.zeros(lattice.dim, dtype=np.int64)
+    for i in range(lattice.dim - 1, -1, -1):
         resid = y[i] - r[i, i + 1 :] @ c[i + 1 :]
         c[i] = int(round_half_away(resid / r[i, i]))
     return c
 
 
-def greedy_descent(instance: CvpInstance, seed_coeffs: np.ndarray) -> np.ndarray:
+def greedy_descent(lattice: TriangularLattice, seed_coeffs: np.ndarray) -> np.ndarray:
     """Coordinate descent from a seed lattice point.
 
     Each move shifts one coefficient by the integer minimizing the distance
     along that basis direction, taking the best direction available; stops
     when no single-direction move improves, errs after GREEDY_MAX_MOVES.
     """
-    b = instance.basis.columns
+    b = lattice.r
     c = np.array(seed_coeffs, dtype=np.int64).copy()
     norms_sq = np.sum(b * b, axis=0)
-    resid = b @ c.astype(float) - instance.target
+    resid = b @ c.astype(float) - lattice.target
     for _ in range(GREEDY_MAX_MOVES):
         g = 2.0 * (b.T @ resid)
         step = round_half_away(-g / (2.0 * norms_sq))
@@ -286,55 +231,58 @@ def greedy_descent(instance: CvpInstance, seed_coeffs: np.ndarray) -> np.ndarray
     raise IterationCapError(f"greedy descent did not converge in {GREEDY_MAX_MOVES} moves")
 
 
-def brute_force_cvp(
-    instance: CvpInstance, radius: int = BRUTE_FORCE_RADIUS_DEFAULT
-) -> np.ndarray:
-    """Exhaustive search in a coefficient box around the naive rounding point.
+def enumerate_cvp(lattice: TriangularLattice) -> np.ndarray:
+    """Exact closest vector by Schnorr-Euchner enumeration.
 
-    Only intended as an oracle: refuses dimensions above BRUTE_FORCE_MAX_DIM.
-    Warns with BoxBoundaryWarning when the optimum sits on the box boundary,
-    in which case a larger radius may improve it.
+    Depth first from the last level of r.  At each level the integers are
+    tried in zig-zag order around the projected center, so their partial
+    distances never decrease and a level is left at its first candidate
+    that is not closer than the best point so far.  That bound starts at
+    Babai's distance and shrinks with each better leaf.  Raises
+    IterationCapError after ENUM_MAX_NODES nodes.
     """
-    d = instance.basis.dim
-    if d > BRUTE_FORCE_MAX_DIM:
-        raise ValueError(
-            f"exhaustive search limited to dimension {BRUTE_FORCE_MAX_DIM}, got {d}; "
-            "use babai/greedy for larger instances"
-        )
-    if radius < 1:
-        raise ValueError("radius must be at least 1")
-    center = naive_round(instance)
-    b = instance.basis.columns
-    width = 2 * radius + 1
-    total = width**d
-    best_dist = np.inf
-    best_offset = None
-    chunk = 1 << 17
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        offsets = np.stack(np.unravel_index(idx, (width,) * d), axis=1) - radius
-        pts = (center + offsets) @ b.T
-        dist = np.sum((pts - instance.target) ** 2, axis=1)
-        j = int(np.argmin(dist))
-        if dist[j] < best_dist:
-            best_dist = float(dist[j])
-            best_offset = offsets[j].copy()
-    if np.any(np.abs(best_offset) == radius):
-        warnings.warn(
-            f"optimum on the boundary of the radius-{radius} box; "
-            "re-run with a larger radius to confirm",
-            BoxBoundaryWarning,
-            stacklevel=2,
-        )
-    return (center + best_offset).astype(np.int64)
+    d = lattice.dim
+    r, y = lattice.r.tolist(), lattice.target.tolist()
+    best = babai_nearest_plane(lattice)
+    best_sq = lattice.distance(best) ** 2
+    k, center, step = [0] * d, [0.0] * d, [0] * d
+    partial = [0.0] * (d + 1)  # partial[i]: squared distance of levels i..d-1
+
+    def enter(i):
+        c = (y[i] - sum(r[i][j] * k[j] for j in range(i + 1, d))) / r[i][i]
+        center[i] = c
+        k[i] = int(round_half_away(c))
+        step[i] = 1 if c >= k[i] else -1
+
+    i = d - 1
+    enter(i)
+    for _ in range(ENUM_MAX_NODES):
+        diff = (k[i] - center[i]) * r[i][i]
+        dist = partial[i + 1] + diff * diff
+        if dist < best_sq and i > 0:
+            partial[i] = dist
+            i -= 1
+            enter(i)
+            continue
+        if dist < best_sq:
+            best, best_sq = np.array(k, dtype=np.int64), dist
+        # this level's later candidates are no closer: back up one level
+        i += 1
+        if i == d:
+            return best
+        k[i] += step[i]
+        step[i] = -step[i] - (1 if step[i] > 0 else -1)
+    raise IterationCapError(
+        f"enumeration exceeded {ENUM_MAX_NODES} nodes at dimension {d}"
+    )
 
 
-def covering_radius_bound(gs: GramSchmidtData) -> float:
+def covering_radius_bound(lattice: TriangularLattice) -> float:
     """Every target is within this distance of the lattice (Babai guarantee)."""
-    return 0.5 * float(np.sqrt(np.sum(gs.star_sq)))
+    return 0.5 * float(np.sqrt(np.sum(lattice.star_sq)))
 
 
-def plateau_estimate(gs: GramSchmidtData) -> float:
+def plateau_estimate(lattice: TriangularLattice) -> float:
     """Expected distance to the lattice for a generic far target.
 
     Treats the residual in each Gram-Schmidt direction as uniform over a cell,
@@ -342,7 +290,7 @@ def plateau_estimate(gs: GramSchmidtData) -> float:
     in the angle convention; here the bare pi/sqrt(3) * sqrt(sum star_sq) form
     is returned, matching targets measured in angle units.
     """
-    return float(np.pi / np.sqrt(3.0) * np.sqrt(np.sum(gs.star_sq)))
+    return float(np.pi / np.sqrt(3.0) * np.sqrt(np.sum(lattice.star_sq)))
 
 
 @dataclass(frozen=True)
@@ -353,12 +301,13 @@ class LadderEntry:
     seconds: float
 
 
-def method_ladder(instance: CvpInstance, radius: int | None = None, delta: float = LLL_DELTA_DEFAULT):
+def method_ladder(lattice: TriangularLattice, delta: float = LLL_DELTA_DEFAULT):
     """Run the solver ladder on one instance, cheapest to strongest.
 
-    Covers naive rounding, Babai on the raw basis, Babai on the LLL basis,
-    greedy refinement of the latter, and, when the dimension permits, the
-    exhaustive oracle (run on the reduced basis so the search box is tight).
+    Covers naive rounding, Babai on the given basis, Babai on the LLL basis,
+    greedy refinement of the latter, and, up to EXACT_MAX_DIM, the exact
+    optimum (enumerated on the reduced basis, where the search tree is
+    smallest).
     """
     results = []
     t0 = perf_counter()
@@ -368,25 +317,22 @@ def method_ladder(instance: CvpInstance, radius: int | None = None, delta: float
             LadderEntry(
                 name,
                 np.asarray(coeffs, dtype=np.int64),
-                instance.distance(coeffs),
+                lattice.distance(coeffs),
                 perf_counter() - t0,
             )
         )
 
-    add("naive", naive_round(instance))
+    add("naive", naive_round(lattice))
     t0 = perf_counter()
-    add("babai", babai_nearest_plane(instance, gram_schmidt(instance.basis)))
+    add("babai", babai_nearest_plane(lattice))
     t0 = perf_counter()
-    reduced, transform = lll_reduce_with_transform(instance.basis, delta)
-    red_gs = gram_schmidt(reduced)
-    red_instance = CvpInstance(reduced, instance.target)
+    reduced, transform = lll_reduce_with_transform(lattice, delta)
     u = transform.astype(np.int64)
-    c = babai_nearest_plane(red_instance, red_gs)
+    c = babai_nearest_plane(reduced)
     add("lll+babai", u @ c)
     t0 = perf_counter()
-    add("lll+babai+greedy", u @ greedy_descent(red_instance, c))
-    if instance.basis.dim <= BRUTE_FORCE_MAX_DIM:
+    add("lll+babai+greedy", u @ greedy_descent(reduced, c))
+    if lattice.dim <= EXACT_MAX_DIM:
         t0 = perf_counter()
-        kwargs = {} if radius is None else {"radius": radius}
-        add("brute-force", u @ brute_force_cvp(red_instance, **kwargs))
+        add("exact", u @ enumerate_cvp(reduced))
     return results

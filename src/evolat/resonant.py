@@ -223,41 +223,6 @@ def build_block_hamiltonian(block: FockBlock, scheme: CouplingScheme) -> Hermiti
     return HermitianMatrix(h)
 
 
-def build_block_hamiltonian_oracle(
-    block: FockBlock, scheme: CouplingScheme
-) -> HermitianMatrix:
-    """Slow cross-check: apply the ladder-operator string term by term,
-    summing over all ordered index quadruples."""
-    m_lvl = block.total_level
-    d = block.dim
-    h = np.zeros((d, d))
-    quads = [
-        (n, s - n, k, s - k)
-        for s in range(m_lvl + 1)
-        for n in range(s + 1)
-        for k in range(s + 1)
-    ]
-    for b_idx, occ in enumerate(block.states):
-        for n, m, k, l in quads:
-            work = list(occ)
-            if work[l] == 0:
-                continue
-            f = np.sqrt(work[l])
-            work[l] -= 1
-            if work[k] == 0:
-                continue
-            f *= np.sqrt(work[k])
-            work[k] -= 1
-            f *= np.sqrt(work[m] + 1.0)
-            work[m] += 1
-            f *= np.sqrt(work[n] + 1.0)
-            work[n] += 1
-            c = scheme.quartic(n, m, k, l, m_lvl)
-            h[block.state_index(work), b_idx] += 0.5 * c * f
-    h += np.diag(scheme.diagonal_shift(block))
-    return HermitianMatrix(h)
-
-
 def min_coupling_operator(block: FockBlock) -> HermitianMatrix:
     """Quartic operator with couplings min(n, m, k, l) over nonzero modes,
     plus the diagonal sum of k^2 eta_k.

@@ -13,7 +13,6 @@ consume), which keeps the whole suite under about a minute.
 import functools
 import itertools
 import json
-import warnings
 from functools import lru_cache
 from pathlib import Path
 from time import perf_counter
@@ -22,16 +21,14 @@ import numpy as np
 
 from evolat import engine, lattice, linalg, resonant, spectral, syk
 from evolat.lattice import (
-    BoxBoundaryWarning,
-    CvpInstance,
-    LatticeBasis,
+    TriangularLattice,
     babai_nearest_plane,
-    brute_force_cvp,
-    gram_schmidt,
+    enumerate_cvp,
     greedy_descent,
-    integer_determinant,
     lll_reduce_with_transform,
+    triangularize,
 )
+from oracles import integer_determinant
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -128,7 +125,7 @@ def resonant_run(n: int, m: int, kind: str, seed, k: int):
     pipe = engine.ComplexityPipeline(spec.energies, engine.ComplexityMetric(mu=mu, q=q))
     trace = pipe.sweep(TIMES_LATE)
     mean = engine.plateau_stats(trace, WINDOW_LATE).mean
-    est = lattice.plateau_estimate(lattice.gram_schmidt(lattice.lll_reduce(pipe.basis)))
+    est = lattice.plateau_estimate(pipe.reduced_lattice())
     return mean, est, float(trace.values.max()), engine.complexity_ceiling(mu, spec.dim)
 
 
@@ -249,22 +246,11 @@ def test_05_solver_between_exact_and_guarantee():
     bounds_ok = True
     for _ in range(200):
         d = int(rng.integers(6, 9))
-        basis = LatticeBasis(rng.standard_normal((d, d)))
-        target = basis.columns @ rng.uniform(-4.0, 4.0, size=d)
-        reduced, _ = lll_reduce_with_transform(basis)
-        inst = CvpInstance(reduced, target)
-        approx = inst.distance(
-            greedy_descent(inst, babai_nearest_plane(inst, gram_schmidt(reduced)))
-        )
-        radius = 3  # widen until the exhaustive optimum leaves the box boundary
-        while True:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                coeffs = brute_force_cvp(inst, radius=radius)
-            if not any(issubclass(w.category, BoxBoundaryWarning) for w in caught):
-                break
-            radius += 2
-        exact = inst.distance(coeffs)
+        basis = rng.standard_normal((d, d))
+        target = basis @ rng.uniform(-4.0, 4.0, size=d)
+        reduced, _ = lll_reduce_with_transform(TriangularLattice.from_columns(basis, target))
+        approx = reduced.distance(greedy_descent(reduced, babai_nearest_plane(reduced)))
+        exact = reduced.distance(enumerate_cvp(reduced))
         bounds_ok &= exact - 1e-9 <= approx <= 2 ** (d / 2.0) * exact + 1e-9
         ratios.append(approx / exact)
     ratios = np.array(ratios)
@@ -287,17 +273,19 @@ def test_06_reduction_contract_on_random_bases():
                 mat = rng.integers(-9, 10, size=(d, d)).astype(float)
         else:
             mat = rng.standard_normal((d, d)) * 10.0 ** rng.integers(-2, 3)
-        reduced, transform = lll_reduce_with_transform(LatticeBasis(mat))
-        gs = gram_schmidt(reduced)
+        frame, r = triangularize(mat)
+        reduced, transform = lll_reduce_with_transform(TriangularLattice(r, np.zeros(d)))
         if d > 1:
-            mu_abs = np.abs(gs.mu[np.tril_indices(d, -1)])
+            mu_abs = np.abs(reduced.mu[np.tril_indices(d, -1)])
             worst_mu = max(worst_mu, float(mu_abs.max()))
             all_ok &= bool((mu_abs <= 0.5 + 1e-9).all())
         for j in range(1, d):
-            lhs = gs.star_sq[j] + gs.mu[j, j - 1] ** 2 * gs.star_sq[j - 1]
-            all_ok &= lhs >= (0.99 - 1e-12) * gs.star_sq[j - 1]
+            lhs = reduced.star_sq[j] + reduced.mu[j, j - 1] ** 2 * reduced.star_sq[j - 1]
+            all_ok &= lhs >= (0.99 - 1e-12) * reduced.star_sq[j - 1]
         all_ok &= abs(integer_determinant(transform)) == 1
-        all_ok &= np.allclose(reduced.columns, mat @ transform.astype(float),
+        # reduced columns in the input coordinates: both frames applied to R
+        reduced_frame, _ = triangularize(r @ transform.astype(float))
+        all_ok &= np.allclose(frame @ reduced_frame @ reduced.r, mat @ transform.astype(float),
                               atol=1e-9 * np.abs(mat).max(), rtol=1e-9)
     return bool(all_ok), (
         f"200 bases up to D = 64: size reduction (worst |mu| {worst_mu:.6f}), "

@@ -175,6 +175,30 @@ def test_mu_above_one_needs_locality(tmp_path):
         run(tmp_path, "bound", cfg, "bound_mu")
 
 
+def test_su_restriction_at_unit_cost_needs_no_locality(tmp_path):
+    cfg = dict(SYNTH_TRACE, mu=1, nu="su", chain="babai+greedy")
+    out = run(tmp_path, "bound", cfg, "bound_su")
+    meta = json.load(open(out / "bound_meta.json"))
+    assert 0.0 < meta["max_value"] <= meta["ceiling"]
+
+
+def test_unit_cost_skips_the_nonlocality_matrix(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Q built at mu = 1")
+
+    monkeypatch.setattr(engine, "nonlocality_matrix", refuse)
+    cfg = {
+        "model": {"family": "resonant", "kind": "truncated",
+                  "n_particles": 6, "total_level": 6},
+        "mu": 1,
+        "nu": "su",
+        "chain": "babai",
+        "times": {"start": 100.0, "stop": 200.0, "count": 11},
+    }
+    out = run(tmp_path, "bound", cfg, "bound_unit")
+    assert (out / "bound.csv").is_file()
+
+
 # ---------------------------------------------------------------- qspec
 
 def test_qspec_free_syk(tmp_path):
@@ -245,11 +269,11 @@ def test_plateau_estimate_reuses_pipeline_reduction(tmp_path, chain):
     out = run(tmp_path, "plateau", cfg, "plateau_reuse")
     meta = json.load(open(out / "plateau.json"))
     bundle = cli._build_model(cfg)
-    metric, _ = cli._metric_for(cfg, bundle)
+    metric = cli._metric_for(cfg, bundle)
     pipeline = engine.ComplexityPipeline(bundle.spectrum.energies, metric, chain)
-    fresh = lattice.gram_schmidt(lattice.lll_reduce(pipeline.basis))
-    reused = pipeline.reduced_gram_schmidt()
-    assert np.array_equal(reused.star_sq, fresh.star_sq)
+    fresh = lattice.lll_reduce(pipeline.lattice)
+    reused = pipeline.reduced_lattice()
+    assert np.array_equal(reused.r, fresh.r)
     assert meta["estimate"] == lattice.plateau_estimate(fresh)
 
 
@@ -261,11 +285,10 @@ def test_cvp_ladder_artifact(tmp_path, cvp6):
     meta = json.load(open(out / "cvp.json"))
     assert meta["dim"] == 6
     methods = {e["method"]: e for e in meta["methods"]}
-    assert set(methods) == {"naive", "babai", "lll+babai", "lll+babai+greedy",
-                            "brute-force"}
-    brute = methods["brute-force"]
-    assert brute["coeffs"] == cvp6["optimal_coeffs"]
-    assert abs(brute["distance"] - cvp6["optimal_distance"]) < 1e-9
+    assert set(methods) == {"naive", "babai", "lll+babai", "lll+babai+greedy", "exact"}
+    exact = methods["exact"]
+    assert exact["coeffs"] == cvp6["optimal_coeffs"]
+    assert abs(exact["distance"] - cvp6["optimal_distance"]) < 1e-9
     basis = np.array(cvp6["basis"], dtype=float).T
     target = np.array(cvp6["target"], dtype=float)
     timing = json.load(open(out / "cvp_timing.json"))
@@ -274,7 +297,7 @@ def test_cvp_ladder_artifact(tmp_path, cvp6):
     for t in timing["methods"]:
         assert t["wall_time_s"] >= 0.0
     for entry in meta["methods"]:
-        assert entry["distance"] >= brute["distance"] - 1e-9
+        assert entry["distance"] >= exact["distance"] - 1e-9
         recomputed = np.linalg.norm(basis @ np.array(entry["coeffs"]) - target)
         assert abs(recomputed - entry["distance"]) < 1e-9
 

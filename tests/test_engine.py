@@ -9,9 +9,7 @@ from evolat.engine import (
     SolverChain,
     bi_invariant_complexity,
     bi_invariant_trace,
-    complexity_bound_at,
     complexity_ceiling,
-    embedding_map,
     local_conservation_laws,
     nonlocality_matrix,
     plateau_stats,
@@ -116,8 +114,23 @@ def test_embedding_map_squares_to_metric():
     rng = np.random.default_rng(5)
     e = random_normalized(rng, 12)
     metric = ComplexityMetric(mu=12.0, nu=4.0, q=projector_q(e))
-    vt = embedding_map(metric, 12)
-    assert np.abs(vt.T @ vt - metric.matrix(12)).max() < 1e-9
+    lat = ComplexityPipeline(e, metric, chain="babai").lattice
+    assert np.abs(lat.r.T @ lat.r - metric.matrix(12)).max() < 1e-9
+    assert np.abs(lat.target - lat.r @ e).max() < 1e-12
+
+
+def test_pipeline_rejects_indefinite_metric():
+    q = NonlocalityMatrix(-2.0 * np.eye(3), [-2.0, -2.0, -2.0])
+    with pytest.raises(ArithmeticError, match="positive definite"):
+        ComplexityPipeline(np.array([-0.5, 0.1, 0.4]), ComplexityMetric(mu=2.0, q=q))
+
+
+def test_nonlocality_matrix_stores_read_only_eigenvalues():
+    q = NonlocalityMatrix(np.eye(2), [0.0, 1.0])
+    assert isinstance(q.eigenvalues, np.ndarray) and q.eigenvalues.dtype == np.float64
+    assert not q.eigenvalues.flags.writeable
+    with pytest.raises(ValueError, match="eigenvalues"):
+        NonlocalityMatrix(np.eye(2), [0.0, 1.0, 1.0])
 
 
 def test_bi_invariant_matches_direct_wrap():
@@ -222,18 +235,6 @@ def test_pipeline_greedy_never_hurts():
         assert with_g.bound_at(float(t))[0] <= without.bound_at(float(t))[0] + 1e-9
 
 
-def test_sweep_threads_agree():
-    rng = np.random.default_rng(47)
-    e = random_normalized(rng, 25)
-    metric = ComplexityMetric(mu=25.0, nu=0.0, q=projector_q(e))
-    pipe = ComplexityPipeline(e, metric)
-    ts = np.linspace(100.0, 900.0, 17)
-    a = pipe.sweep(ts, threads=1)
-    b = pipe.sweep(ts, threads=3)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.minimizers, b.minimizers)
-
-
 def test_sweep_rejects_unsorted_times():
     e = normalize_energies(np.arange(4.0))
     pipe = ComplexityPipeline(e, ComplexityMetric(mu=1.0, nu=0.0, q=None))
@@ -243,7 +244,7 @@ def test_sweep_rejects_unsorted_times():
 
 def test_complexity_bound_at_helper():
     e = normalize_energies(np.arange(6.0))
-    v, k = complexity_bound_at(e, 50.0, ComplexityMetric(mu=1.0, nu=0.0, q=None))
+    v, k = ComplexityPipeline(e, ComplexityMetric(mu=1.0, nu=0.0, q=None)).bound_at(50.0)
     assert v == pytest.approx(float(bi_invariant_complexity(e, 50.0)), abs=1e-9)
 
 

@@ -1,28 +1,33 @@
 import itertools
-import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evolat import lattice
 from evolat.lattice import (
-    BRUTE_FORCE_MAX_DIM,
-    BoxBoundaryWarning,
-    CvpInstance,
-    GramSchmidtData,
-    LatticeBasis,
+    IterationCapError,
+    TriangularLattice,
     babai_nearest_plane,
-    brute_force_cvp,
     covering_radius_bound,
-    gram_schmidt,
+    enumerate_cvp,
     greedy_descent,
-    integer_determinant,
     lll_reduce,
     lll_reduce_with_transform,
     method_ladder,
     naive_round,
     plateau_estimate,
     round_half_away,
+    triangularize,
 )
+from oracles import BOX_MAX_DIM, box_cvp, integer_determinant, widening_box_cvp
+
+
+def random_lattice(rng, d, scale=1.0):
+    """A Gaussian basis and a target near, but not on, one of its points."""
+    b = rng.standard_normal((d, d)) * scale
+    return b, TriangularLattice.from_columns(b, b @ rng.uniform(-4.0, 4.0, size=d))
 
 
 def test_round_half_away_ties():
@@ -31,54 +36,65 @@ def test_round_half_away_ties():
 
 
 def test_basis_rejects_singular():
-    with pytest.raises(ValueError):
-        LatticeBasis(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(ValueError, match="rank deficient"):
+        TriangularLattice.from_columns(np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros(2))
+    with pytest.raises(ValueError, match="rank deficient"):
+        TriangularLattice(np.diag([1.0, 1e-12]), np.zeros(2))
 
 
 def test_basis_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        LatticeBasis(np.ones((3, 2)))
+    with pytest.raises(ValueError, match="square"):
+        TriangularLattice.from_columns(np.ones((3, 2)), np.zeros(3))
+    with pytest.raises(ValueError, match="square"):
+        TriangularLattice(np.ones((3, 2)), np.zeros(3))
 
 
 def test_gram_schmidt_oracle():
     # columns (2,0) and (3,1): star lengths 2 and 1, mu_21 = 3/2
-    basis = LatticeBasis(np.array([[2.0, 3.0], [0.0, 1.0]]))
-    gs = gram_schmidt(basis)
-    assert np.allclose(gs.star_sq, [4.0, 1.0])
-    assert abs(gs.mu[1, 0] - 1.5) < 1e-12
+    lat = TriangularLattice.from_columns(np.array([[2.0, 3.0], [0.0, 1.0]]), np.zeros(2))
+    assert np.allclose(lat.star_sq, [4.0, 1.0])
+    assert abs(lat.mu[1, 0] - 1.5) < 1e-12
+    assert lat.mu[0, 1] == 0.0
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_gram_schmidt_reconstructs(seed):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 12))
-    basis = LatticeBasis(rng.standard_normal((d, d)))
-    gs = gram_schmidt(basis)
-    r = gs.r_matrix()
-    assert np.abs(gs.frame @ r - basis.columns).max() < 1e-9
-    assert np.abs(gs.frame.T @ gs.frame - np.eye(d)).max() < 1e-10
-    # r diagonal carries the star lengths
-    assert np.allclose(np.diag(r) ** 2, gs.star_sq)
+    b = rng.standard_normal((d, d))
+    frame, r = triangularize(b)
+    assert np.abs(frame @ r - b).max() < 1e-9
+    assert np.abs(frame.T @ frame - np.eye(d)).max() < 1e-10
+    assert np.array_equal(r, np.triu(r)) and np.all(np.diag(r) > 0.0)
+    # the target rotates with the frame, so distances are those of the basis
+    target = rng.uniform(-5.0, 5.0, size=d)
+    lat = TriangularLattice.from_columns(b, target)
+    for _ in range(5):
+        k = rng.integers(-3, 4, size=d)
+        assert abs(lat.distance(k) - np.linalg.norm(b @ k - target)) < 1e-9
 
 
 def test_lll_two_dim_oracle():
-    basis = LatticeBasis(np.array([[2.0, 3.0], [0.0, 1.0]]))
-    reduced, u = lll_reduce_with_transform(basis, 0.75)
-    assert np.allclose(np.sort(np.linalg.norm(reduced.columns, axis=0)), [np.sqrt(2.0)] * 2)
+    lat = TriangularLattice.from_columns(np.array([[2.0, 3.0], [0.0, 1.0]]), np.zeros(2))
+    reduced, u = lll_reduce_with_transform(lat, 0.75)
+    assert np.allclose(np.sort(np.linalg.norm(reduced.r, axis=0)), [np.sqrt(2.0)] * 2)
     assert integer_determinant(u) in (1, -1)
-    assert np.abs(basis.columns @ u - reduced.columns).max() < 1e-12
+    bu = lat.r @ u.astype(float)
+    assert np.abs(bu.T @ bu - reduced.r.T @ reduced.r).max() < 1e-12
 
 
 def test_lll_identity_is_fixed_point():
-    basis = LatticeBasis(np.eye(5))
-    reduced, u = lll_reduce_with_transform(basis)
-    assert np.array_equal(reduced.columns, np.eye(5))
+    lat = TriangularLattice(np.eye(5), np.arange(5.0))
+    reduced, u = lll_reduce_with_transform(lat)
+    assert np.array_equal(reduced.r, np.eye(5))
+    assert np.array_equal(reduced.target, np.arange(5.0))
     assert np.array_equal(np.asarray(u, dtype=np.int64), np.eye(5, dtype=np.int64))
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_lll_contract_random(seed):
-    """Size reduction, Lovasz at the working delta, and exact unimodularity."""
+    """Size reduction, Lovasz at the working delta, exact unimodularity, and
+    a reduced lattice whose points and target are those of the input."""
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 24))
     scale = 10.0 ** rng.integers(0, 3)
@@ -87,17 +103,21 @@ def test_lll_contract_random(seed):
         cols = np.round(cols * 10.0)  # integer-like bases too
         if abs(np.linalg.det(cols)) < 1e-6:
             cols = cols + np.eye(d)
-    basis = LatticeBasis(cols)
+    lat = TriangularLattice.from_columns(cols, cols @ rng.uniform(-3.0, 3.0, size=d))
     delta = 0.99
-    reduced, u = lll_reduce_with_transform(basis, delta)
-    gs = gram_schmidt(reduced)
+    reduced, u = lll_reduce_with_transform(lat, delta)
     for k in range(1, d):
-        assert np.abs(gs.mu[k, :k]).max() <= 0.5 + 1e-9
-        lhs = delta * gs.star_sq[k - 1]
-        rhs = gs.star_sq[k] + gs.mu[k, k - 1] ** 2 * gs.star_sq[k - 1]
+        assert np.abs(reduced.mu[k, :k]).max() <= 0.5 + 1e-9
+        lhs = delta * reduced.star_sq[k - 1]
+        rhs = reduced.star_sq[k] + reduced.mu[k, k - 1] ** 2 * reduced.star_sq[k - 1]
         assert lhs <= rhs * (1.0 + 1e-12) + 1e-12
     assert integer_determinant(u) in (1, -1)
-    assert np.abs(basis.columns @ u - reduced.columns).max() < 1e-6 * max(1.0, scale)
+    bu = cols @ u.astype(float)
+    gram = bu.T @ bu
+    assert np.abs(gram - reduced.r.T @ reduced.r).max() < 1e-9 * np.abs(gram).max()
+    for _ in range(5):
+        k = rng.integers(-2, 3, size=d)
+        assert abs(reduced.distance(k) - lat.distance(u.astype(np.int64) @ k)) < 1e-6 * scale
 
 
 def test_lll_never_grows_star_profile_sum():
@@ -106,10 +126,8 @@ def test_lll_never_grows_star_profile_sum():
     rng = np.random.default_rng(99)
     for _ in range(20):
         d = int(rng.integers(2, 10))
-        basis = LatticeBasis(rng.standard_normal((d, d)))
-        before = gram_schmidt(basis).star_sq.sum()
-        after = gram_schmidt(lll_reduce(basis)).star_sq.sum()
-        assert after <= before * (1.0 + 1e-9)
+        lat = TriangularLattice.from_columns(rng.standard_normal((d, d)), np.zeros(d))
+        assert lll_reduce(lat).star_sq.sum() <= lat.star_sq.sum() * (1.0 + 1e-9)
 
 
 def test_integer_determinant_exact():
@@ -131,99 +149,78 @@ def test_integer_determinant_matches_float(seed):
 
 
 def test_naive_round_orthogonal_is_exact():
-    basis = LatticeBasis(2.0 * np.pi * np.eye(2))
-    inst = CvpInstance(basis, np.array([3.0, 7.0]))
-    c = naive_round(inst)
-    assert np.array_equal(c, [0, 1])
+    lat = TriangularLattice(2.0 * np.pi * np.eye(2), np.array([3.0, 7.0]))
+    assert np.array_equal(naive_round(lat), [0, 1])
 
 
 def test_naive_round_skewed_misses_optimum():
-    basis = LatticeBasis(np.array([[1.0, 0.9], [0.0, 0.1]]))
-    inst = CvpInstance(basis, np.array([0.5, 0.05]))
-    naive = naive_round(inst)
-    exact = brute_force_cvp(inst, 6)
+    lat = TriangularLattice(np.array([[1.0, 0.9], [0.0, 0.1]]), np.array([0.5, 0.05]))
+    naive = naive_round(lat)
+    exact = enumerate_cvp(lat)
     assert np.array_equal(naive, [0, 1])
     assert np.array_equal(exact, [-2, 3])
-    assert inst.distance(exact) < inst.distance(naive)
+    assert lat.distance(exact) < lat.distance(naive)
 
 
 def test_babai_orthogonal_exact():
-    basis = LatticeBasis(2.0 * np.pi * np.eye(3))
-    inst = CvpInstance(basis, np.array([3.0, 7.0, -8.0]))
-    c = babai_nearest_plane(inst, gram_schmidt(basis))
-    assert np.array_equal(c, [0, 1, -1])
+    lat = TriangularLattice(2.0 * np.pi * np.eye(3), np.array([3.0, 7.0, -8.0]))
+    assert np.array_equal(babai_nearest_plane(lat), [0, 1, -1])
 
 
 def test_babai_recovers_perturbed_lattice_point():
     rng = np.random.default_rng(7)
-    basis = LatticeBasis(np.diag([2.0, 3.0, 5.0]))
-    gs = gram_schmidt(basis)
+    lat = TriangularLattice(np.diag([2.0, 3.0, 5.0]), np.zeros(3))
     for _ in range(10):
         k = rng.integers(-4, 5, size=3)
-        target = basis.columns @ k + rng.uniform(-0.4, 0.4, size=3)
-        assert np.array_equal(babai_nearest_plane(CvpInstance(basis, target), gs), k)
+        target = lat.r @ k + rng.uniform(-0.4, 0.4, size=3)
+        assert np.array_equal(babai_nearest_plane(lat.with_target(target)), k)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_babai_covering_bound(seed):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 9))
-    basis = LatticeBasis(rng.standard_normal((d, d)))
-    gs = gram_schmidt(basis)
-    bound = covering_radius_bound(gs)
+    lat = TriangularLattice.from_columns(rng.standard_normal((d, d)), np.zeros(d))
+    bound = covering_radius_bound(lat)
     for _ in range(5):
-        target = rng.uniform(-10.0, 10.0, size=d)
-        inst = CvpInstance(basis, target)
-        c = babai_nearest_plane(inst, gs)
-        assert inst.distance(c) <= bound + 1e-9
+        inst = lat.with_target(rng.uniform(-10.0, 10.0, size=d))
+        assert inst.distance(babai_nearest_plane(inst)) <= bound + 1e-9
 
 
 def test_greedy_keeps_optimum():
-    basis = LatticeBasis(2.0 * np.pi * np.eye(2))
-    inst = CvpInstance(basis, np.array([3.0, 7.0]))
-    c = greedy_descent(inst, np.array([0, 1]))
-    assert np.array_equal(c, [0, 1])
+    lat = TriangularLattice(2.0 * np.pi * np.eye(2), np.array([3.0, 7.0]))
+    assert np.array_equal(greedy_descent(lat, np.array([0, 1])), [0, 1])
 
 
 def test_greedy_from_origin_reaches_rounding():
-    basis = LatticeBasis(2.0 * np.pi * np.eye(2))
-    inst = CvpInstance(basis, np.array([3.0, 7.0]))
-    c = greedy_descent(inst, np.zeros(2, dtype=np.int64))
-    assert np.array_equal(c, [0, 1])
+    lat = TriangularLattice(2.0 * np.pi * np.eye(2), np.array([3.0, 7.0]))
+    assert np.array_equal(greedy_descent(lat, np.zeros(2, dtype=np.int64)), [0, 1])
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_greedy_improves_and_terminates_stationary(seed):
     rng = np.random.default_rng(seed)
-    d = 6
-    b = rng.standard_normal((d, d))
-    basis = LatticeBasis(b)
-    inst = CvpInstance(basis, b @ rng.uniform(-3.0, 3.0, size=d))
-    seed_c = naive_round(inst)
-    final = greedy_descent(inst, seed_c)
-    assert inst.distance(final) <= inst.distance(seed_c) + 1e-12
+    _, lat = random_lattice(rng, 6)
+    seed_c = naive_round(lat)
+    final = greedy_descent(lat, seed_c)
+    assert lat.distance(final) <= lat.distance(seed_c) + 1e-12
     # stationarity: the per-direction optimal integer step is zero everywhere
-    r = b @ final - inst.target
-    g = 2.0 * b.T @ r
-    norms = (b * b).sum(axis=0)
-    steps = round_half_away(-g / (2.0 * norms))
-    assert np.array_equal(steps, np.zeros(d))
+    b = lat.r
+    g = 2.0 * b.T @ (b @ final - lat.target)
+    steps = round_half_away(-g / (2.0 * (b * b).sum(axis=0)))
+    assert np.array_equal(steps, np.zeros(6))
 
 
 def test_brute_force_tiny_box_matches_itertools():
     rng = np.random.default_rng(11)
     b = rng.standard_normal((3, 3))
-    basis = LatticeBasis(b)
-    target = rng.uniform(-2.0, 2.0, size=3)
-    inst = CvpInstance(basis, target)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoxBoundaryWarning)
-        got = brute_force_cvp(inst, 2)
-    center = naive_round(inst)
+    lat = TriangularLattice.from_columns(b, rng.uniform(-2.0, 2.0, size=3))
+    got, _ = box_cvp(lat, 2)
+    center = naive_round(lat)
     best, best_d = None, np.inf
     for offs in itertools.product(range(-2, 3), repeat=3):
         c = center + np.array(offs)
-        d = inst.distance(c)
+        d = lat.distance(c)
         if d < best_d:
             best, best_d = c, d
     assert np.array_equal(got, best)
@@ -231,56 +228,114 @@ def test_brute_force_tiny_box_matches_itertools():
 
 def test_brute_force_warns_on_boundary():
     # true optimum (-2, 3) lies outside a radius-1 box around the naive (0, 1),
-    # so the boxed optimum lands on the box edge
-    basis = LatticeBasis(np.array([[1.0, 0.9], [0.0, 0.1]]))
-    inst = CvpInstance(basis, np.array([0.5, 0.05]))
-    with pytest.warns(BoxBoundaryWarning):
-        brute_force_cvp(inst, 1)
+    # so the boxed optimum lands on the box edge and the oracle says so
+    lat = TriangularLattice(np.array([[1.0, 0.9], [0.0, 0.1]]), np.array([0.5, 0.05]))
+    assert box_cvp(lat, 1)[1]
+    assert np.array_equal(widening_box_cvp(lat, 1), [-2, 3])
 
 
 def test_brute_force_rejects_high_dim():
-    d = BRUTE_FORCE_MAX_DIM + 1
-    basis = LatticeBasis(np.eye(d))
+    d = BOX_MAX_DIM + 1
     with pytest.raises(ValueError):
-        brute_force_cvp(CvpInstance(basis, np.zeros(d)), 1)
+        box_cvp(TriangularLattice(np.eye(d), np.zeros(d)), 1)
 
 
 def test_cvp_instance_rejects_mismatched_target():
-    basis = LatticeBasis(np.eye(3))
-    with pytest.raises(ValueError):
-        CvpInstance(basis, np.zeros(4))
+    with pytest.raises(ValueError, match="target shape"):
+        TriangularLattice(np.eye(3), np.zeros(4))
+    with pytest.raises(ValueError, match="target shape"):
+        TriangularLattice(np.eye(3), np.zeros(3)).with_target(np.zeros(2))
 
 
 def test_plateau_and_covering_on_identity():
-    gs = gram_schmidt(LatticeBasis(np.eye(9)))
-    assert abs(covering_radius_bound(gs) - 0.5 * 3.0) < 1e-12
-    assert abs(plateau_estimate(gs) - np.pi * np.sqrt(3.0)) < 1e-12
+    lat = TriangularLattice(np.eye(9), np.zeros(9))
+    assert abs(covering_radius_bound(lat) - 0.5 * 3.0) < 1e-12
+    assert abs(plateau_estimate(lat) - np.pi * np.sqrt(3.0)) < 1e-12
 
 
 def test_method_ladder_on_fixture(cvp6):
-    basis = LatticeBasis(np.array(cvp6["basis"], dtype=float).T)
-    inst = CvpInstance(basis, np.array(cvp6["target"], dtype=float))
-    entries = method_ladder(inst)
+    basis = np.array(cvp6["basis"], dtype=float).T
+    target = np.array(cvp6["target"], dtype=float)
+    entries = method_ladder(TriangularLattice.from_columns(basis, target))
     by_name = {e.method: e for e in entries}
-    assert set(by_name) == {"naive", "babai", "lll+babai", "lll+babai+greedy", "brute-force"}
-    # exhaustive search result is frozen in the fixture
-    brute = by_name["brute-force"]
-    assert np.array_equal(brute.coeffs, cvp6["optimal_coeffs"])
-    assert abs(brute.distance - cvp6["optimal_distance"]) < 1e-9
-    # guaranteed relations: greedy never loses to its seed, nothing beats the oracle
+    assert set(by_name) == {"naive", "babai", "lll+babai", "lll+babai+greedy", "exact"}
+    # the optimum is frozen in the fixture
+    exact = by_name["exact"]
+    assert np.array_equal(exact.coeffs, cvp6["optimal_coeffs"])
+    assert abs(exact.distance - cvp6["optimal_distance"]) < 1e-9
+    # guaranteed relations: greedy never loses to its seed, nothing beats the optimum
     assert by_name["lll+babai+greedy"].distance <= by_name["lll+babai"].distance + 1e-12
     for e in entries:
-        assert e.distance >= brute.distance - 1e-9
+        assert e.distance >= exact.distance - 1e-9
         assert e.seconds >= 0.0
-    # distances recompute from the reported coefficients
+    # distances recompute from the reported coefficients in the input basis
     for e in entries:
-        assert abs(inst.distance(e.coeffs) - e.distance) < 1e-9
+        assert abs(np.linalg.norm(basis @ e.coeffs - target) - e.distance) < 1e-9
 
 
 def test_gram_schmidt_data_validates_shapes():
-    with pytest.raises(ValueError):
-        GramSchmidtData(
-            star_sq=np.array([1.0, 1.0]),
-            mu=np.eye(3),
-            frame=np.eye(2),
-        )
+    with pytest.raises(ValueError, match="upper triangular"):
+        TriangularLattice(np.array([[1.0, 0.0], [0.5, 1.0]]), np.zeros(2))
+    with pytest.raises(ValueError, match="sign-fixed"):
+        TriangularLattice(np.diag([1.0, -1.0]), np.zeros(2))
+    lat = TriangularLattice(np.array([[2.0, 1.0], [0.0, 3.0]]), [1.0, 2.0])
+    assert not lat.r.flags.writeable and not lat.target.flags.writeable
+
+
+def test_with_target_shares_the_basis():
+    lat = TriangularLattice(np.array([[2.0, 1.0], [0.0, 3.0]]), np.zeros(2))
+    moved = lat.with_target([1.0, 2.0])
+    assert moved.r is lat.r
+    assert np.array_equal(moved.target, [1.0, 2.0]) and not moved.target.flags.writeable
+    assert np.array_equal(lat.target, np.zeros(2))
+
+
+def test_enumeration_matches_widening_box():
+    """Exact enumeration against the exhaustive box, widened until its
+    optimum leaves the boundary, on 60 random instances in 2-6 dimensions.
+    The box runs on the LLL basis, where a box around the rounded point
+    holds the optimum; around the rounding in a skewed basis it may not."""
+    rng = np.random.default_rng(515)
+    for _ in range(60):
+        d = int(rng.integers(2, 7))
+        _, lat = random_lattice(rng, d)
+        reduced = lll_reduce(lat)
+        boxed = reduced.distance(widening_box_cvp(reduced))
+        for inst in (lat, reduced):
+            exact = inst.distance(enumerate_cvp(inst))
+            assert abs(exact - boxed) <= 1e-9 * max(1.0, boxed)
+
+
+def test_enumeration_on_reduced_basis_maps_back():
+    rng = np.random.default_rng(21)
+    _, lat = random_lattice(rng, 7)
+    reduced, u = lll_reduce_with_transform(lat)
+    on_input = lat.distance(enumerate_cvp(lat))
+    via_reduced = lat.distance(u.astype(np.int64) @ enumerate_cvp(reduced))
+    assert abs(on_input - via_reduced) < 1e-9
+
+
+def test_enumeration_node_budget(monkeypatch):
+    rng = np.random.default_rng(3)
+    _, lat = random_lattice(rng, 8, scale=1.0)
+    monkeypatch.setattr(lattice, "ENUM_MAX_NODES", 3)
+    with pytest.raises(IterationCapError, match="3 nodes"):
+        enumerate_cvp(lat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 9),
+       log_scale=st.floats(-2.0, 2.0))
+def test_exact_never_loses_to_the_chain(seed, d, log_scale):
+    """exact <= lll+babai+greedy <= lll+babai on random instances."""
+    rng = np.random.default_rng(seed)
+    _, lat = random_lattice(rng, d, scale=10.0 ** log_scale)
+    reduced, u = lll_reduce_with_transform(lat)
+    u = u.astype(np.int64)
+    c = babai_nearest_plane(reduced)
+    babai = lat.distance(u @ c)
+    greedy = lat.distance(u @ greedy_descent(reduced, c))
+    exact = lat.distance(enumerate_cvp(lat))
+    tol = 1e-9 * max(1.0, babai)
+    assert exact <= greedy + tol
+    assert greedy <= babai + tol

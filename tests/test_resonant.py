@@ -8,7 +8,6 @@ from evolat.resonant import (
     CouplingScheme,
     block_states_csv,
     build_block_hamiltonian,
-    build_block_hamiltonian_oracle,
     coupling_alpha,
     coupling_delta,
     coupling_gg,
@@ -21,6 +20,7 @@ from evolat.resonant import (
     resonant_locality,
     resonant_locality_classifier,
 )
+from oracles import build_block_hamiltonian_oracle
 
 
 @pytest.mark.parametrize(
