@@ -1,5 +1,7 @@
 """Slow reference implementations that the tests check the package against."""
 
+import itertools
+
 import numpy as np
 
 from evolat.lattice import TriangularLattice, naive_round
@@ -97,3 +99,84 @@ def build_block_hamiltonian_oracle(
             h[block.state_index(work), b_idx] += 0.5 * c * f
     h += np.diag(scheme.diagonal_shift(block))
     return HermitianMatrix(h)
+
+
+_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+_PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
+_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+
+
+def dense_majoranas(n_modes: int) -> list:
+    """Jordan-Wigner Majoranas as Kronecker products of Pauli matrices,
+    qubit 0 as the leftmost factor: psi_2p = Z..Z X I..I / sqrt(2) and
+    psi_2p+1 = Z..Z Y I..I / sqrt(2)."""
+    qubits = n_modes // 2
+    psis = []
+    for p in range(qubits):
+        for letter in (_PAULI_X, _PAULI_Y):
+            m = np.array([[1.0]], dtype=np.complex128)
+            for q in range(qubits):
+                if q < p:
+                    factor = _PAULI_Z
+                elif q == p:
+                    factor = letter
+                else:
+                    factor = np.eye(2, dtype=np.complex128)
+                m = np.kron(m, factor)
+            psis.append(m / np.sqrt(2.0))
+    return psis
+
+
+def string_matrix(dim: int, x: int, z: int, coeff: complex) -> np.ndarray:
+    """coeff X^x Z^z as a dense matrix, entry by entry:
+    (X^x Z^z)|k> = (-1)^popcount(z & k) |k ^ x>."""
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    for k in range(dim):
+        m[k ^ int(x), k] = coeff * (-1) ** bin(int(z) & k).count("1")
+    return m
+
+
+def dense_monomial(psis: list, indices: tuple) -> np.ndarray:
+    """Normalized Hermitian monomial by dense products: Tr[T_a T_b] = delta_ab."""
+    w = len(indices)
+    dim = psis[0].shape[0]
+    m = np.eye(dim, dtype=np.complex128)
+    for i in indices:
+        m = m @ psis[i]
+    phase = 1.0j if (w * (w - 1) // 2) % 2 else 1.0
+    return phase * 2.0 ** (0.5 * w) / np.sqrt(dim) * m
+
+
+def dense_free_syk(psis: list, j2: np.ndarray) -> np.ndarray:
+    n = len(psis)
+    h = np.zeros_like(psis[0])
+    for a, b in itertools.combinations(range(n), 2):
+        h += (2.0j * j2[a, b]) * (psis[a] @ psis[b])
+    return h
+
+
+def dense_chaotic_syk(psis, j2, many_body, epsilon, body) -> np.ndarray:
+    n = len(psis)
+    h = dense_free_syk(psis, j2)
+    for val, idx in zip(many_body, itertools.combinations(range(n), body)):
+        m = np.eye(psis[0].shape[0], dtype=np.complex128)
+        for i in idx:
+            m = m @ psis[i]
+        h += (epsilon * val * (1.0 if body == 4 else 1.0j)) * m
+    return h
+
+
+def dense_charges(psis: list, frame=None) -> list:
+    """J3_p = 2i Psi_2p Psi_2p+1 with Psi_i = sum_j frame[j, i] psi_j."""
+    n = len(psis)
+    v = np.eye(n) if frame is None else frame
+    rot = [sum(v[j, i] * psis[j] for j in range(n)) for i in range(n)]
+    return [2.0j * (rot[2 * p] @ rot[2 * p + 1]) for p in range(n // 2)]
+
+
+def dense_integrable_syk(psis, omegas, pair_couplings, epsilon, frame=None) -> np.ndarray:
+    j3 = dense_charges(psis, frame)
+    h = sum(w * c for w, c in zip(omegas, j3))
+    for p, q in itertools.combinations(range(len(j3)), 2):
+        h = h + (epsilon * pair_couplings[p, q]) * (j3[p] @ j3[q])
+    return h

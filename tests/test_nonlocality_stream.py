@@ -14,6 +14,8 @@ import pytest
 from evolat import engine, linalg, resonant, syk
 from evolat.engine import Q_BLOCK_BYTES, nonlocality_matrix
 
+from oracles import dense_majoranas, dense_monomial
+
 SCHEMES = {
     "gg": resonant.coupling_gg,
     "truncated": resonant.coupling_truncated,
@@ -143,11 +145,60 @@ def test_syk_stream_matches_dense_formula(variant, threshold):
         h = syk.chaotic_syk(rep, j2, syk.sample_many_body_couplings(8, 3, rng), 1.0, body=3)
     spec = linalg.normalize_spectrum(linalg.eigendecompose(h))
     cls = syk.syk_locality_classifier(rep, threshold)
-    v = spec.vectors
-    rows = [np.einsum("in,in->n", v.conj(), syk.monomial_matrix(rep, s) @ v)
-            for s in cls.local_subsets()]
     q = nonlocality_matrix(spec, cls)
-    assert np.abs(q.entries - dense_q(rows)).max() < 1e-12
+    assert np.abs(q.entries - dense_syk_q(cls, spec)).max() < 1e-12
+
+
+def dense_syk_q(cls: syk.MonomialClassifier, spec: linalg.Spectrum) -> np.ndarray:
+    """The seed formula with every monomial a dense matrix product."""
+    psis = dense_majoranas(cls.rep.n_modes)
+    v = spec.vectors
+    return dense_q([np.einsum("in,in->n", v.conj(), dense_monomial(psis, s) @ v)
+                    for s in cls.local_subsets()])
+
+
+def chaotic4_spectrum(n: int) -> tuple:
+    rng = np.random.default_rng(n)
+    rep = syk.build_clifford(n)
+    h = syk.chaotic_syk(rep, syk.sample_quadratic_couplings(n, rng),
+                        syk.sample_many_body_couplings(n, 4, rng), 1.0, body=4)
+    return rep, linalg.normalize_spectrum(linalg.eigendecompose(h))
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_syk_pauli_stream_matches_dense_products(n):
+    rep, spec = chaotic4_spectrum(n)
+    for threshold in (2, 3, 4):
+        cls = syk.syk_locality_classifier(rep, threshold)
+        q = nonlocality_matrix(spec, cls)
+        assert np.abs(q.entries - dense_syk_q(cls, spec)).max() < 1e-12
+
+
+def test_syk_blocks_respect_the_budget(monkeypatch):
+    """Row blocks stay within block_rows at any budget; Q does not change."""
+    rep, spec = chaotic4_spectrum(10)
+    cls = syk.syk_locality_classifier(rep, 4)
+    whole = nonlocality_matrix(spec, cls)
+    monkeypatch.setattr(engine, "Q_BLOCK_BYTES", 7 * spec.dim * 64)
+    blocks = list(cls.local_diagonals(spec))
+    assert max(z.shape[0] for z in blocks) == 7
+    assert sum(z.shape[0] for z in blocks) == len(cls.local_subsets())
+    assert np.abs(nonlocality_matrix(spec, cls).entries - whole.entries).max() < 1e-12
+
+
+def test_syk_q_memory_is_one_block_plus_dense_arrays(monkeypatch):
+    """chaotic4 at n = 16, threshold 4: the build stays within the block
+    budget plus a few D x D complex arrays.  Under a 1 MiB budget, where the
+    block no longer hides the rest, that is under three of them (Q, its Gram
+    matrix and one shared A_x); building each monomial as a dense matrix
+    took 4.5."""
+    rep, spec = chaotic4_spectrum(16)
+    cls = syk.syk_locality_classifier(rep, 4)
+    d = spec.dim
+    assert d == 256
+    assert traced_peak(lambda: nonlocality_matrix(spec, cls)) < Q_BLOCK_BYTES + 4 * d * d * 16
+    monkeypatch.setattr(engine, "Q_BLOCK_BYTES", 2**20)
+    assert traced_peak(lambda: nonlocality_matrix(spec, cls)) < 2**20 + 3 * d * d * 16
 
 
 def test_complex_block_above_tolerance_raises():
@@ -162,8 +213,13 @@ def test_syk_non_hermitian_monomials_raise(monkeypatch):
     rep = syk.build_clifford(6)
     spec = linalg.eigendecompose(
         syk.free_syk(rep, syk.sample_quadratic_couplings(6, np.random.default_rng(2))))
-    original = syk.monomial_matrix
-    monkeypatch.setattr(syk, "monomial_matrix", lambda r, s: 1j * original(r, s))
+    original = syk.monomial_strings
+
+    def rotated(rep, modes):  # i T is anti-Hermitian: its diagonals are imaginary
+        x, z, c = original(rep, modes)
+        return x, z, 1j * c
+
+    monkeypatch.setattr(syk, "monomial_strings", rotated)
     with pytest.raises(ArithmeticError, match="imaginary"):
         nonlocality_matrix(spec, syk.syk_locality_classifier(rep, 2))
 

@@ -1,12 +1,15 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evolat.engine import nonlocality_matrix
 from evolat.linalg import Spectrum, eigendecompose, normalize_energies
 from evolat.syk import (
-    MAX_MODES,
+    DENSE_BYTES_LIMIT,
     antisymmetric_canonical_form,
     build_clifford,
     charge_operators,
@@ -14,11 +17,21 @@ from evolat.syk import (
     extract_omegas,
     free_syk,
     integrable_syk,
-    monomial_matrix,
+    monomial_strings,
     sample_many_body_couplings,
     sample_pair_couplings,
     sample_quadratic_couplings,
+    string_product,
     syk_locality_classifier,
+)
+
+from oracles import (
+    dense_chaotic_syk,
+    dense_free_syk,
+    dense_integrable_syk,
+    dense_majoranas,
+    dense_monomial,
+    string_matrix,
 )
 
 
@@ -27,9 +40,24 @@ def rep8():
     return build_clifford(8)
 
 
+def majoranas(rep):
+    """The Majoranas of a representation as dense matrices."""
+    return [string_matrix(rep.dim, x, z, c / np.sqrt(2.0))
+            for x, z, c in zip(rep.x, rep.z, rep.phase)]
+
+
+def monomials(rep, subsets):
+    """Dense matrices of the monomials T for the given index tuples."""
+    mats = []
+    for s in subsets:
+        x, z, c = monomial_strings(rep, np.array([s], dtype=np.intp).reshape(1, len(s)))
+        mats.append(string_matrix(rep.dim, x[0], z[0], c[0]))
+    return mats
+
+
 def test_build_clifford_counts():
     rep = build_clifford(4)
-    assert len(rep.psis) == 4
+    assert rep.x.shape == rep.z.shape == rep.phase.shape == (4,)
     assert rep.dim == 4
 
 
@@ -37,15 +65,19 @@ def test_build_clifford_counts():
 def test_clifford_anticommutators(n):
     rep = build_clifford(n)
     dim = rep.dim
+    psis = majoranas(rep)
     for i in range(n):
         for j in range(i, n):
-            anti = rep.psis[i] @ rep.psis[j] + rep.psis[j] @ rep.psis[i]
+            anti = psis[i] @ psis[j] + psis[j] @ psis[i]
             expect = np.eye(dim) if i == j else np.zeros((dim, dim))
             assert np.abs(anti - expect).max() < 1e-12
+    # the strings are the Jordan-Wigner Kronecker products
+    for a, b in zip(psis, dense_majoranas(n)):
+        assert np.abs(a - b).max() < 1e-15
 
 
 def test_clifford_hermitian_and_normalized(rep8):
-    for psi in rep8.psis:
+    for psi in majoranas(rep8):
         assert np.abs(psi - psi.conj().T).max() < 1e-12
         # psi^2 = 1/2 by the anticommutator convention
         assert np.abs(psi @ psi - 0.5 * np.eye(rep8.dim)).max() < 1e-12
@@ -53,9 +85,10 @@ def test_clifford_hermitian_and_normalized(rep8):
 
 def test_clifford_pair_traces(rep8):
     dim = rep8.dim
+    psis = majoranas(rep8)
     for i in range(8):
         for j in range(8):
-            tr = np.trace(rep8.psis[i] @ rep8.psis[j])
+            tr = np.trace(psis[i] @ psis[j])
             expect = dim / 2.0 if i == j else 0.0
             assert abs(tr - expect) < 1e-12
 
@@ -64,7 +97,29 @@ def test_build_clifford_validates():
     with pytest.raises(ValueError):
         build_clifford(5)
     with pytest.raises(ValueError):
-        build_clifford(MAX_MODES + 2)
+        build_clifford(0)
+    # the representation is O(n); only a dense Hamiltonian is refused, with
+    # n, D and the bytes it would need, before any D x D array exists
+    rep = build_clifford(30)
+    assert rep.dim == 2**15 and rep.x.shape == (30,)
+    big = build_clifford(26)
+    assert 8 * 16 * big.dim**2 > DENSE_BYTES_LIMIT
+    j2 = np.zeros((26, 26))
+    builds = [
+        lambda: free_syk(big, j2),
+        lambda: chaotic_syk(big, j2, np.zeros(14950), 1.0, body=4),
+        lambda: integrable_syk(big, np.ones(13), np.zeros((13, 13)), 1.0),
+        lambda: charge_operators(big),
+    ]
+    for build in builds:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"n = 26 modes.*D = 8192.*8589934592 bytes"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_canonical_form_two_by_two():
@@ -229,9 +284,9 @@ def test_sample_many_body_statistics(body, var_scale):
 
 def test_monomial_rejects_unsorted(rep8):
     with pytest.raises(ValueError):
-        monomial_matrix(rep8, (3, 1))
+        monomial_strings(rep8, np.array([[3, 1]]))
     with pytest.raises(ValueError):
-        monomial_matrix(rep8, (1, 1))
+        monomial_strings(rep8, np.array([[1, 1]]))
 
 
 def test_monomial_orthonormality():
@@ -240,7 +295,7 @@ def test_monomial_orthonormality():
     subsets += list(itertools.combinations(range(6), 1))
     subsets += list(itertools.combinations(range(6), 2))
     subsets += [(0, 1, 2, 3), (1, 2, 4, 5), (0, 2, 3, 5)]
-    mats = [monomial_matrix(rep, s) for s in subsets]
+    mats = monomials(rep, subsets)
     for a in mats:
         assert np.abs(a - a.conj().T).max() < 1e-12
     for i, a in enumerate(mats):
@@ -261,8 +316,9 @@ def test_classifier_counts_and_shape(rep8):
     rows = np.vstack(blocks)
     assert rows.shape == (36, rep8.dim)
     v = spec.vectors
+    psis = dense_majoranas(8)
     for r, subset in zip(rows, subsets):
-        expect = np.einsum("in,in->n", v.conj(), monomial_matrix(rep8, subset) @ v)
+        expect = np.einsum("in,in->n", v.conj(), dense_monomial(psis, subset) @ v)
         assert np.abs(r - expect).max() < 1e-14
 
 
@@ -289,3 +345,50 @@ def test_free_syk_quadratic_locality(rep8):
     q = nonlocality_matrix(Spectrum(e, spec.vectors), syk_locality_classifier(rep8, 2))
     assert q.null_residual(e) < 1e-8
     assert np.abs(q.eigenvalues - np.round(q.eigenvalues)).max() < 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_monomials_match_dense_products(n):
+    rep = build_clifford(n)
+    psis = dense_majoranas(n)
+    for w in range(n + 1):
+        subsets = list(itertools.combinations(range(n), w))
+        for t, s in zip(monomials(rep, subsets), subsets):
+            assert np.abs(t - dense_monomial(psis, s)).max() < 1e-15, s
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_hamiltonians_match_dense_formulas(n):
+    rng = np.random.default_rng(40 + n)
+    rep = build_clifford(n)
+    psis = dense_majoranas(n)
+    j2 = sample_quadratic_couplings(n, rng)
+    assert np.abs(free_syk(rep, j2).entries - dense_free_syk(psis, j2)).max() < 1e-13
+    for body in (3, 4):
+        vals = sample_many_body_couplings(n, body, rng)
+        h = chaotic_syk(rep, j2, vals, 0.8, body=body)
+        assert np.abs(h.entries - dense_chaotic_syk(psis, j2, vals, 0.8, body)).max() < 1e-13
+    omegas, frame = antisymmetric_canonical_form(j2)
+    pair = sample_pair_couplings(n, rng)
+    h = integrable_syk(rep, omegas, pair, 1.3, frame=frame)
+    expect = dense_integrable_syk(psis, omegas, pair, 1.3, frame)
+    assert np.abs(h.entries - expect).max() < 1e-13
+
+
+def strings(n_modes):
+    """Random Pauli strings (x, z, phase) on n_modes / 2 qubits."""
+    top = 2 ** (n_modes // 2) - 1
+    return st.tuples(st.integers(0, top), st.integers(0, top),
+                     st.sampled_from([1.0, -1.0, 1.0j, -1.0j]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 4, 6, 8]).flatmap(lambda n: st.tuples(
+    st.just(n), strings(n), strings(n), strings(n))))
+def test_string_product_is_associative_and_dense(case):
+    n, a, b, c = case
+    dim = 2 ** (n // 2)
+    ab = string_product(a, b)
+    assert string_product(ab, c) == string_product(a, string_product(b, c))
+    dense = string_matrix(dim, *ab)
+    assert np.abs(dense - string_matrix(dim, *a) @ string_matrix(dim, *b)).max() < 1e-15
