@@ -284,8 +284,7 @@ class ComplexityPipeline:
         self._transform = None
         self._solve_lattice = self.lattice
         if self.chain.use_lll:
-            self._solve_lattice, transform = lll_reduce_with_transform(self.lattice, delta)
-            self._transform = transform.astype(np.int64)
+            self._solve_lattice, self._transform = lll_reduce_with_transform(self.lattice, delta)
 
     def reduced_lattice(self) -> TriangularLattice:
         """The LLL-reduced lattice; a chain with LLL already holds it, any

@@ -27,6 +27,7 @@ GREEDY_MAX_MOVES = 10_000
 ENUM_MAX_NODES = 1_000_000
 EXACT_MAX_DIM = 12  # the ladder's exact rung runs up to this dimension
 RANK_TOL = 1e-10
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class IterationCapError(RuntimeError):
@@ -126,32 +127,63 @@ class TriangularLattice:
         return float(np.linalg.norm(self.r @ np.asarray(coeffs, dtype=float) - self.target))
 
 
+def _shear_transform(u: np.ndarray, peak: list, k: int, j: int, r: int, swaps: int) -> None:
+    """u[:, k] -= r * u[:, j] in int64.  peak[c] bounds max |u[:, c]| from
+    above; when the bound on the result passes int64, both bounds are
+    tightened to the true maxima, and a step that may still leave int64 is
+    refused."""
+    bound = peak[k] + abs(r) * peak[j]
+    if bound > INT64_MAX:
+        peak[j], peak[k] = (int(np.abs(u[:, c]).max()) for c in (j, k))
+        bound = peak[k] + abs(r) * peak[j]
+        if bound > INT64_MAX:
+            raise ArithmeticError(
+                f"LLL transform may leave int64 at dimension {u.shape[0]}: size "
+                f"reduction of column {k} by {r} times column {j}, after {swaps} swaps"
+            )
+    u[:, k] -= r * u[:, j]
+    peak[k] = bound
+
+
 def lll_reduce_with_transform(lattice: TriangularLattice, delta: float = LLL_DELTA_DEFAULT):
     """LLL reduction returning (reduced lattice, integer transform U).
 
-    The reduced basis is lattice.r @ U with U unimodular, accumulated in exact
-    integer arithmetic; it is triangularized once at the end and its target
-    rotated into the new frame, so the distance of any k under the reduced
-    lattice is the distance of U @ k under the input.  Raises
-    IterationCapError after 10 * dim**2 swaps.
+    The floating-point LLL of Schnorr and Euchner on the Gram-Schmidt data
+    of r.  The reduced basis is lattice.r @ U with U unimodular, held in
+    int64; a size-reduction step that could carry an entry of U out of
+    int64 raises ArithmeticError instead of wrapping.  The basis is
+    triangularized once at the end and its target rotated into the new
+    frame, so the distance of any k under the reduced lattice is the
+    distance of U @ k under the input.  Raises IterationCapError after
+    10 * dim**2 swaps.
     """
     if not (0.25 < delta <= 1.0):
         raise ValueError(f"delta must lie in (1/4, 1], got {delta}")
     d = lattice.dim
     b = np.array(lattice.r)
     star, mu = _profile(lattice.r)
-    u = np.eye(d, dtype=object)  # Python ints, no overflow
+    u = np.eye(d, dtype=np.int64)
+    peak = [1] * d
     swap_cap = 10 * d * d
     swaps = 0
     k = 1
     while k < d:
-        for j in range(k - 1, -1, -1):
+        # size reduction, highest level first, visiting only the levels
+        # whose coefficient rounds to a nonzero integer; floor(|mu| + 0.5)
+        # is round_half_away's own magnitude, so the test agrees with it
+        # (|mu| > 0.5 would not: the float just below 0.5 rounds to 1)
+        top = k
+        while True:
+            levels = np.floor(np.abs(mu[k, :top]) + 0.5).nonzero()[0]
+            if levels.size == 0:
+                break
+            j = int(levels[-1])
             r = int(round_half_away(mu[k, j]))
-            if r != 0:
-                b[:, k] -= r * b[:, j]
-                u[:, k] -= r * u[:, j]
-                mu[k, :j] -= r * mu[j, :j]
-                mu[k, j] -= r
+            _shear_transform(u, peak, k, j, r, swaps)
+            b[:, k] -= r * b[:, j]
+            mu[k, :j] -= r * mu[j, :j]
+            mu[k, j] -= r
+            top = j
         if delta * star[k - 1] <= star[k] + mu[k, k - 1] ** 2 * star[k - 1]:
             k += 1
             continue
@@ -161,8 +193,11 @@ def lll_reduce_with_transform(lattice: TriangularLattice, delta: float = LLL_DEL
                 f"LLL exceeded {swap_cap} swaps at dimension {d} (delta={delta}); "
                 "basis may be pathological"
             )
-        b[:, [k - 1, k]] = b[:, [k, k - 1]]
-        u[:, [k - 1, k]] = u[:, [k, k - 1]]
+        for a in (b, u):
+            col = a[:, k].copy()
+            a[:, k] = a[:, k - 1]
+            a[:, k - 1] = col
+        peak[k - 1], peak[k] = peak[k], peak[k - 1]
         if swaps % LLL_REFRESH_EVERY == 0:
             # periodic re-orthogonalization bounds floating-point drift
             star, mu = _profile(triangularize(b)[1])
@@ -173,11 +208,12 @@ def lll_reduce_with_transform(lattice: TriangularLattice, delta: float = LLL_DEL
             star[k] = star[k - 1] * star[k] / big
             star[k - 1] = big
             mu[k, k - 1] = mu_new
-            mu[[k - 1, k], : k - 1] = mu[[k, k - 1], : k - 1]
-            for i in range(k + 1, d):
-                t = mu[i, k]
-                mu[i, k] = mu[i, k - 1] - nu * t
-                mu[i, k - 1] = t + mu_new * mu[i, k]
+            row = mu[k, : k - 1].copy()
+            mu[k, : k - 1] = mu[k - 1, : k - 1]
+            mu[k - 1, : k - 1] = row
+            t = mu[k + 1 :, k].copy()
+            mu[k + 1 :, k] = mu[k + 1 :, k - 1] - nu * t
+            mu[k + 1 :, k - 1] = t + mu_new * mu[k + 1 :, k]
         k = max(k - 1, 1)
     frame, r = triangularize(b)
     return TriangularLattice(r, frame.T @ lattice.target), u
@@ -326,8 +362,7 @@ def method_ladder(lattice: TriangularLattice, delta: float = LLL_DELTA_DEFAULT):
     t0 = perf_counter()
     add("babai", babai_nearest_plane(lattice))
     t0 = perf_counter()
-    reduced, transform = lll_reduce_with_transform(lattice, delta)
-    u = transform.astype(np.int64)
+    reduced, u = lll_reduce_with_transform(lattice, delta)
     c = babai_nearest_plane(reduced)
     add("lll+babai", u @ c)
     t0 = perf_counter()

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 MEAN_TOL = 1e-12
 
@@ -96,14 +95,21 @@ _REFERENCES = {"wigner": wigner_cdf, "poisson": poisson_cdf}
 
 
 def ks_distance(spacings: UnfoldedSpacings, reference) -> float:
-    """Sup-norm distance between the empirical CDF and a reference CDF.
+    """Sup-norm distance between the empirical CDF and a reference CDF F,
+    the two-sided Kolmogorov-Smirnov statistic: over the sorted spacings
+    x_1..x_n, the largest of i/n - F(x_i) and F(x_i) - (i-1)/n.
 
     reference is "wigner", "poisson", or any vectorized CDF callable.
     """
     cdf = _REFERENCES.get(reference, reference)
     if not callable(cdf):
         raise ValueError(f"unknown reference {reference!r}")
-    return float(scipy_stats.kstest(spacings.values, cdf).statistic)
+    x = np.sort(spacings.values)
+    f = np.asarray(cdf(x), dtype=float)
+    n = x.size
+    above = (np.arange(1.0, n + 1) / n - f).max()
+    below = (f - np.arange(0.0, n) / n).max()
+    return float(max(above, below))
 
 
 def histogram_rows(

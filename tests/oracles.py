@@ -4,7 +4,15 @@ import itertools
 
 import numpy as np
 
-from evolat.lattice import TriangularLattice, naive_round
+from evolat.lattice import (
+    LLL_DELTA_DEFAULT,
+    LLL_REFRESH_EVERY,
+    IterationCapError,
+    TriangularLattice,
+    naive_round,
+    round_half_away,
+    triangularize,
+)
 from evolat.linalg import HermitianMatrix
 from evolat.resonant import CouplingScheme, FockBlock
 
@@ -64,6 +72,65 @@ def widening_box_cvp(lattice: TriangularLattice, radius: int = 3) -> np.ndarray:
         if not on_boundary:
             return coeffs
         radius += 2
+
+
+def kstest_statistic(values, cdf) -> float:
+    """The two-sided Kolmogorov-Smirnov statistic from scipy.stats.kstest."""
+    from scipy import stats
+
+    return float(stats.kstest(values, cdf).statistic)
+
+
+def _profile(r: np.ndarray):
+    diag = np.diag(r)
+    return diag**2, np.tril(r.T / diag, -1)
+
+
+def lll_reference(lattice: TriangularLattice, delta: float = LLL_DELTA_DEFAULT):
+    """The plain floating-point LLL, one level and one row at a time, with
+    the transform in Python integers (object dtype, no overflow): the same
+    operations in the same order as `lll_reduce_with_transform`, so its
+    results must agree bit for bit."""
+    d = lattice.dim
+    b = np.array(lattice.r)
+    star, mu = _profile(lattice.r)
+    u = np.eye(d, dtype=object)
+    swap_cap = 10 * d * d
+    swaps = 0
+    k = 1
+    while k < d:
+        for j in range(k - 1, -1, -1):
+            r = int(round_half_away(mu[k, j]))
+            if r != 0:
+                b[:, k] -= r * b[:, j]
+                u[:, k] -= r * u[:, j]
+                mu[k, :j] -= r * mu[j, :j]
+                mu[k, j] -= r
+        if delta * star[k - 1] <= star[k] + mu[k, k - 1] ** 2 * star[k - 1]:
+            k += 1
+            continue
+        swaps += 1
+        if swaps > swap_cap:
+            raise IterationCapError(f"LLL exceeded {swap_cap} swaps at dimension {d}")
+        b[:, [k - 1, k]] = b[:, [k, k - 1]]
+        u[:, [k - 1, k]] = u[:, [k, k - 1]]
+        if swaps % LLL_REFRESH_EVERY == 0:
+            star, mu = _profile(triangularize(b)[1])
+        else:
+            nu = mu[k, k - 1]
+            big = star[k] + nu * nu * star[k - 1]
+            mu_new = nu * star[k - 1] / big
+            star[k] = star[k - 1] * star[k] / big
+            star[k - 1] = big
+            mu[k, k - 1] = mu_new
+            mu[[k - 1, k], : k - 1] = mu[[k, k - 1], : k - 1]
+            for i in range(k + 1, d):
+                t = mu[i, k]
+                mu[i, k] = mu[i, k - 1] - nu * t
+                mu[i, k - 1] = t + mu_new * mu[i, k]
+        k = max(k - 1, 1)
+    frame, r = triangularize(b)
+    return TriangularLattice(r, frame.T @ lattice.target), u
 
 
 def build_block_hamiltonian_oracle(

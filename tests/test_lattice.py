@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evolat import lattice
+from evolat import engine, lattice, linalg, resonant
 from evolat.lattice import (
+    INT64_MAX,
     IterationCapError,
     TriangularLattice,
     babai_nearest_plane,
@@ -21,7 +22,13 @@ from evolat.lattice import (
     round_half_away,
     triangularize,
 )
-from oracles import BOX_MAX_DIM, box_cvp, integer_determinant, widening_box_cvp
+from oracles import (
+    BOX_MAX_DIM,
+    box_cvp,
+    integer_determinant,
+    lll_reference,
+    widening_box_cvp,
+)
 
 
 def random_lattice(rng, d, scale=1.0):
@@ -118,6 +125,82 @@ def test_lll_contract_random(seed):
     for _ in range(5):
         k = rng.integers(-2, 3, size=d)
         assert abs(reduced.distance(k) - lat.distance(u.astype(np.int64) @ k)) < 1e-6 * scale
+
+
+def assert_matches_reference(lat, delta=0.99):
+    """The reduction agrees bit for bit with the one-level-at-a-time oracle."""
+    reduced, u = lll_reduce_with_transform(lat, delta)
+    ref, ref_u = lll_reference(lat, delta)
+    assert reduced.r.tobytes() == ref.r.tobytes()
+    assert reduced.target.tobytes() == ref.target.tobytes()
+    assert u.dtype == np.int64 and u.tolist() == ref_u.tolist()
+    return u
+
+
+def test_lll_matches_reference_on_resonant_block():
+    """The truncated (12,12) block, threshold 4, mu = D = 77."""
+    block = resonant.enumerate_block(12, 12)
+    h = resonant.build_block_hamiltonian(block, resonant.coupling_truncated())
+    spec = linalg.normalize_spectrum(linalg.eigendecompose(h))
+    q = engine.nonlocality_matrix(spec, resonant.resonant_locality_classifier(block, 4))
+    metric = engine.ComplexityMetric(mu=float(spec.dim), q=q)
+    pipe = engine.ComplexityPipeline(spec.energies, metric, chain="babai")
+    assert pipe.lattice.dim == 77
+    assert_matches_reference(pipe.lattice)
+
+
+def test_lll_matches_reference_on_random_bases():
+    """60 bases, D 2-40: Gaussian, integer-valued, and rescaled by 10^-2 or 10^2."""
+    rng = np.random.default_rng(1982)
+    for i in range(60):
+        d = int(rng.integers(2, 41))
+        cols = rng.standard_normal((d, d))
+        if i % 3 == 1:
+            cols = np.round(cols * 10.0) + np.eye(d) * 20.0
+        elif i % 3 == 2:
+            cols *= 10.0 ** rng.choice([-2, 2])
+        lat = TriangularLattice.from_columns(cols, cols @ rng.uniform(-3.0, 3.0, size=d))
+        assert_matches_reference(lat, delta=0.75 if i % 4 == 0 else 0.99)
+
+
+@pytest.mark.parametrize("coeff", [0.5, -0.5, np.nextafter(0.5, 0.0), -np.nextafter(0.5, 0.0)])
+def test_lll_rounds_half_coefficients_like_reference(coeff):
+    """A coefficient of +-1/2, or the float just below 1/2, still rounds to
+    +-1 under round_half_away (|mu| + 0.5 rounds up to 1), so it is reduced;
+    a test |mu| > 1/2 would skip the second case."""
+    assert round_half_away(coeff) == np.sign(coeff)
+    lat = TriangularLattice(np.array([[1.0, coeff], [0.0, 1.0]]), [0.3, 0.2])
+    u = assert_matches_reference(lat)
+    assert u.tolist() == [[1, -int(np.sign(coeff))], [0, 1]]
+    # the same coefficient at level 0 of a row whose level 1 is reduced first
+    r = np.array([[1.0, 0.0, coeff], [0.0, 3.0, 4.5], [0.0, 0.0, 2.5]])
+    u = assert_matches_reference(TriangularLattice(r, [0.1, -0.4, 0.7]))
+    assert not np.array_equal(u, np.eye(3))
+
+
+def test_lll_transform_near_int64_limit():
+    """A coefficient of 1e17 reduces with the oracle's U; one of 1e19
+    would put -1e19 into U, outside int64, and is refused."""
+    lat = TriangularLattice(np.array([[1.0, 1e17], [0.0, 1.0]]), np.zeros(2))
+    u = assert_matches_reference(lat)
+    assert u.tolist() == [[1, -10**17], [0, 1]]
+    lat = TriangularLattice(np.array([[1.0, 1e19], [0.0, 1.0]]), np.zeros(2))
+    with pytest.raises(ArithmeticError, match="int64 at dimension 2"):
+        lll_reduce_with_transform(lat)
+
+
+def test_shear_transform_tightens_loose_bounds():
+    """Column bounds that overestimate are tightened to the true maxima
+    before a step is refused; a step refused on the true maxima leaves U
+    as it was."""
+    u = np.array([[1, 0, 0], [0, 1, 0], [2**62, 0, 1]], dtype=np.int64)
+    peak = [2**62, 2**62, 2**62]  # the bounds of columns 1 and 2 are loose
+    lattice._shear_transform(u, peak, 2, 1, 3, swaps=5)
+    assert u[:, 2].tolist() == [0, -3, 1] and peak == [2**62, 1, 4]
+    with pytest.raises(ArithmeticError, match="column 1 by -2 times column 0, after 7 swaps"):
+        lattice._shear_transform(u, peak, 1, 0, -2, swaps=7)
+    assert u[:, 1].tolist() == [0, 1, 0]
+    assert INT64_MAX == 2**63 - 1
 
 
 def test_lll_never_grows_star_profile_sum():

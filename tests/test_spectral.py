@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import evolat
 from evolat.spectral import (
     UnfoldedSpacings,
     histogram_rows,
@@ -11,6 +17,7 @@ from evolat.spectral import (
     wigner_cdf,
     wigner_surmise,
 )
+from oracles import kstest_statistic
 
 
 def test_unfold_mean_is_one():
@@ -116,6 +123,37 @@ def test_ks_accepts_callable_reference():
     named = ks_distance(s, "wigner")
     via_callable = ks_distance(s, wigner_cdf)
     assert named == pytest.approx(via_callable, abs=1e-12)
+
+
+def test_ks_matches_scipy_kstest_exactly():
+    """The numpy statistic equals scipy's kstest bit for bit, for both named
+    references and a callable, on 200 spectra of 2 to 2000 spacings."""
+    rng = np.random.default_rng(1994)
+
+    def half_normal_cdf(x):
+        return np.tanh(np.sqrt(np.pi / 2.0) * x)
+
+    for i in range(200):
+        n = int(rng.integers(2, 2001))
+        if i % 3 == 0:
+            vals = _wigner_samples(rng, n)
+        elif i % 3 == 1:
+            vals = -np.log(rng.uniform(size=n))
+        else:
+            vals = np.round(rng.uniform(0.0, 3.0, size=n), 1)  # with ties
+        s = _as_spacings(vals)
+        for name, cdf in (("wigner", wigner_cdf), ("poisson", poisson_cdf),
+                          (half_normal_cdf, half_normal_cdf)):
+            assert ks_distance(s, name) == kstest_statistic(s.values, cdf)
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    src = str(Path(evolat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, evolat.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_ks_rejects_unknown_name():
