@@ -18,12 +18,9 @@ from .engine import (
 from .lattice import (
     TriangularLattice,
     babai_nearest_plane,
-    covering_radius_bound,
     enumerate_cvp,
     greedy_descent,
-    lll_reduce,
     method_ladder,
-    naive_round,
     plateau_estimate,
 )
 from .linalg import (

@@ -239,7 +239,7 @@ def _metric_for(cfg: dict, bundle: ModelBundle) -> engine.ComplexityMetric:
     mu = cfg.get("mu", 1.0)
     mu = float(dim) if mu == "dim" else float(mu)
     nu = cfg.get("nu", 0.0)
-    nu = 1e3 * mu if nu == "su" else float(nu)
+    nu = engine.SU_NU_FACTOR * mu if nu == "su" else float(nu)
     if mu == 1.0:  # Q carries weight mu - 1, so it is not built
         return engine.ComplexityMetric(nu=nu)
     if bundle.classifier is None:
@@ -394,7 +394,7 @@ def cmd_plateau(cfg: dict, outdir: Path) -> int:
     window = tuple(cfg.get("window", (trace.times[0], trace.times[-1])))
     stats = engine.plateau_stats(trace, window)
     if pipeline is not None:
-        estimate = lattice.plateau_estimate(pipeline.reduced_lattice())
+        estimate = lattice.plateau_estimate(pipeline.lattice)
     else:
         estimate = float(np.pi * np.sqrt(bundle.spectrum.dim / 3.0))
     meta = _meta(

@@ -23,11 +23,9 @@ import numpy as np
 from scipy.linalg.blas import dsyrk
 
 from .lattice import (
-    LLL_DELTA_DEFAULT,
     TriangularLattice,
     babai_nearest_plane,
     greedy_descent,
-    lll_reduce,
     lll_reduce_with_transform,
     round_half_away,
 )
@@ -37,6 +35,8 @@ TWO_PI = 2.0 * np.pi
 Q_EIGENVALUE_TOL = 1e-9
 AUDIT_TOL = 1e-8
 IMAG_TOL = 1e-8
+# the special-unitary restriction's nu, per unit of mu
+SU_NU_FACTOR = 1e3
 # working-set budget for one block of local diagonals while it is built
 Q_BLOCK_BYTES = 32 * 2**20
 
@@ -174,9 +174,9 @@ class ComplexityMetric:
         return g
 
 
-def su_metric(q: NonlocalityMatrix, mu: float, nu_factor: float = 1e3) -> ComplexityMetric:
-    """Metric with the special-unitary restriction, nu = nu_factor * mu."""
-    return ComplexityMetric(mu=mu, nu=nu_factor * mu, q=q)
+def su_metric(q: NonlocalityMatrix, mu: float) -> ComplexityMetric:
+    """Metric with the special-unitary restriction, nu = SU_NU_FACTOR * mu."""
+    return ComplexityMetric(mu=mu, nu=SU_NU_FACTOR * mu, q=q)
 
 
 def complexity_ceiling(mu: float, dim: int) -> float:
@@ -227,12 +227,13 @@ DEFAULT_CHAIN = "lll+babai+greedy"
 
 @dataclass(frozen=True)
 class ComplexityTrace:
-    """C_bound sampled on a strictly increasing time grid."""
+    """C_bound sampled on a strictly increasing time grid, with the integer
+    winding vector k that attains each value, one row per time."""
 
     times: np.ndarray
     values: np.ndarray
     method: str
-    minimizers: np.ndarray | None = None
+    minimizers: np.ndarray
 
     def __post_init__(self):
         ts = np.asarray(self.times, dtype=float)
@@ -258,67 +259,57 @@ class PlateauStats:
 
 
 class ComplexityPipeline:
-    """Caches the triangular lattice, reduced by LLL when the chain asks for
-    it, for one (energies, metric, chain) combination so that time sweeps
-    only pay for the per-time solve."""
+    """Caches the lattice a solver chain works on, reduced by LLL when the
+    chain asks for it, for one (energies, metric, chain) combination, so
+    that a time sweep only pays for the solve."""
 
     def __init__(
         self,
         energies: np.ndarray,
         metric: ComplexityMetric | None = None,
         chain: str | SolverChain = DEFAULT_CHAIN,
-        delta: float = LLL_DELTA_DEFAULT,
     ):
         self.energies = np.asarray(energies, dtype=float).copy()
         self.metric = metric if metric is not None else ComplexityMetric()
         self.chain = chain if isinstance(chain, SolverChain) else SolverChain.parse(chain)
         self.dim = self.energies.size
-        self.delta = delta
         self.metric_matrix = self.metric.matrix(self.dim)
         try:
             r = np.linalg.cholesky(self.metric_matrix).T
         except np.linalg.LinAlgError:
             raise ArithmeticError("metric is not positive definite") from None
-        # the target at t = 2 pi; bound_at scales it to each time
+        # the lattice the chain solves on, with its target at t = 2 pi; with
+        # LLL, k = transform @ (coefficients in the reduced basis)
         self.lattice = TriangularLattice(r, r @ self.energies)
-        self._transform = None
-        self._solve_lattice = self.lattice
+        self.transform = None
         if self.chain.use_lll:
-            self._solve_lattice, self._transform = lll_reduce_with_transform(self.lattice, delta)
+            self.lattice, self.transform = lll_reduce_with_transform(self.lattice)
 
-    def reduced_lattice(self) -> TriangularLattice:
-        """The LLL-reduced lattice; a chain with LLL already holds it, any
-        other chain reduces here."""
-        if self.chain.use_lll:
-            return self._solve_lattice
-        return lll_reduce(self.lattice, self.delta)
-
-    def bound_at(self, t: float):
-        """(C_bound(t), integer minimizer in the original winding coordinates)."""
-        lat = self._solve_lattice.with_target(self._solve_lattice.target * (t / TWO_PI))
+    def sweep(self, times: Sequence[float]) -> ComplexityTrace:
+        """C_bound and its minimizer at every time, all times solved at once;
+        each value is audited against the quadratic form of its k."""
+        ts = np.asarray(times, dtype=float)
+        if ts.ndim != 1 or (ts.size > 1 and np.any(np.diff(ts) <= 0)):
+            raise ValueError("times must be strictly increasing")
+        turns = ts / TWO_PI
+        lat = self.lattice.with_target(np.multiply.outer(turns, self.lattice.target))
         if self.chain.base == "naive":
-            coeffs = round_half_away(self.energies * (t / TWO_PI)).astype(np.int64)
+            coeffs = round_half_away(np.multiply.outer(turns, self.energies)).astype(np.int64)
         else:
             coeffs = babai_nearest_plane(lat)
         if self.chain.use_greedy:
             coeffs = greedy_descent(lat, coeffs)
-        k = coeffs if self._transform is None else self._transform @ coeffs
-        value = TWO_PI * lat.distance(coeffs)
-        resid = self.energies * t - TWO_PI * k.astype(float)
-        audit = float(np.sqrt(resid @ self.metric_matrix @ resid))
-        if abs(value - audit) > AUDIT_TOL * max(1.0, value):
+        ks = coeffs if self.transform is None else coeffs @ self.transform.T
+        values = TWO_PI * lat.distance(coeffs)
+        resid = np.multiply.outer(ts, self.energies) - TWO_PI * ks
+        audit = np.sqrt(np.sum((resid @ self.metric_matrix) * resid, axis=1))
+        off = np.abs(values - audit) > AUDIT_TOL * np.maximum(1.0, values)
+        if off.any():
+            i = int(np.argmax(off))
             raise ArithmeticError(
-                f"solver distance {value:.12e} disagrees with quadratic form {audit:.12e}"
+                f"solver distance {values[i]:.12e} at t = {ts[i]!r} disagrees with "
+                f"quadratic form {audit[i]:.12e}"
             )
-        return value, k
-
-    def sweep(self, times: Sequence[float]) -> ComplexityTrace:
-        ts = np.asarray(times, dtype=float)
-        if ts.ndim != 1 or (ts.size > 1 and np.any(np.diff(ts) <= 0)):
-            raise ValueError("times must be strictly increasing")
-        results = [self.bound_at(t) for t in ts]
-        values = np.array([v for v, _ in results])
-        ks = np.array([k for _, k in results], dtype=np.int64)
         return ComplexityTrace(ts, values, self.chain.label(), ks)
 
 

@@ -1,7 +1,8 @@
 """Lattices in triangular form and closest-vector solvers.
 
 A lattice is an upper-triangular matrix R with positive diagonal, whose
-columns are the basis vectors, held with a target in the same coordinates.
+columns are the basis vectors, held with a target in the same coordinates,
+or with a (T, D) stack of targets that the solvers handle in one pass.
 R carries the Gram-Schmidt profile: |b*_i| = R[i, i] and
 mu[i, j] = R[j, i] / R[j, j].  A general basis B = frame @ R is brought to
 this form by one QR factorization, which rotates its target by frame^T.
@@ -9,6 +10,7 @@ this form by one QR factorization, which rotates its target by frame^T.
 The solvers form a quality ladder: naive coefficient rounding, the Babai
 nearest-plane walk, both optionally preceded by LLL reduction, a greedy
 coordinate descent refinement, and exact Schnorr-Euchner enumeration.
+Babai and greedy take one target or a stack; enumeration takes one.
 
 Rounding convention: ties at half-integers round away from zero.
 """
@@ -41,7 +43,7 @@ def round_half_away(x):
 
 def _target(target, dim: int) -> np.ndarray:
     t = np.array(target, dtype=float)
-    if t.shape != (dim,):
+    if t.ndim not in (1, 2) or t.shape[-1] != dim:
         raise ValueError(f"target shape {t.shape} does not match basis dimension {dim}")
     t.flags.writeable = False
     return t
@@ -73,7 +75,8 @@ def triangularize(columns) -> tuple[np.ndarray, np.ndarray]:
 class TriangularLattice:
     """The problem min |r @ k - target| over integer k: the lattice spanned
     by the columns of an upper-triangular r with positive diagonal, and a
-    target in the same coordinates."""
+    target in the same coordinates.  A target of shape (T, dim) poses T
+    such problems on the same lattice, one per row."""
 
     r: np.ndarray
     target: np.ndarray
@@ -98,7 +101,8 @@ class TriangularLattice:
     def from_columns(cls, columns, target) -> "TriangularLattice":
         """The lattice of a general square basis, target rotated along."""
         frame, r = triangularize(columns)
-        return cls(r, frame.T @ _target(target, r.shape[0]))
+        # transposes are no-ops on one target and rotate each row of a stack
+        return cls(r, (frame.T @ _target(target, r.shape[0]).T).T)
 
     def with_target(self, target) -> "TriangularLattice":
         """The same lattice with another target; r is not checked again."""
@@ -123,8 +127,14 @@ class TriangularLattice:
     def mu(self) -> np.ndarray:
         return _profile(self.r)[1]
 
-    def distance(self, coeffs: np.ndarray) -> float:
-        return float(np.linalg.norm(self.r @ np.asarray(coeffs, dtype=float) - self.target))
+    def distance(self, coeffs: np.ndarray):
+        """|r @ k - target|, a float for one target and one value per row
+        for a stack.  Each row is its own matrix-vector product: a single
+        matrix-matrix product sums in another order."""
+        rows = np.atleast_2d(np.asarray(coeffs, dtype=float))
+        dist = [float(np.linalg.norm(self.r @ c - t))
+                for c, t in zip(rows, np.atleast_2d(self.target))]
+        return dist[0] if self.target.ndim == 1 else np.array(dist)
 
 
 def _shear_transform(u: np.ndarray, peak: list, k: int, j: int, r: int, swaps: int) -> None:
@@ -216,54 +226,51 @@ def lll_reduce_with_transform(lattice: TriangularLattice, delta: float = LLL_DEL
             mu[k + 1 :, k - 1] = t + mu_new * mu[k + 1 :, k]
         k = max(k - 1, 1)
     frame, r = triangularize(b)
-    return TriangularLattice(r, frame.T @ lattice.target), u
-
-
-def lll_reduce(lattice: TriangularLattice, delta: float = LLL_DELTA_DEFAULT) -> TriangularLattice:
-    reduced, _ = lll_reduce_with_transform(lattice, delta)
-    return reduced
-
-
-def naive_round(lattice: TriangularLattice) -> np.ndarray:
-    """Round the coefficients of the target in the given basis."""
-    c = np.linalg.solve(lattice.r, lattice.target)
-    return round_half_away(c).astype(np.int64)
+    return TriangularLattice(r, (frame.T @ lattice.target.T).T), u
 
 
 def babai_nearest_plane(lattice: TriangularLattice) -> np.ndarray:
-    """Babai's nearest-plane walk, one rounding per level of r.
+    """Babai's nearest-plane walk, one rounding per level of r, each level
+    taken for all targets at once.
 
-    The returned point is within (1/2) * sqrt(sum star_sq) of the target.
+    The returned point is within (1/2) * sqrt(sum star_sq) of its target.
     """
     r, y = lattice.r, lattice.target
-    c = np.zeros(lattice.dim, dtype=np.int64)
+    c = np.zeros(y.shape)
     for i in range(lattice.dim - 1, -1, -1):
-        resid = y[i] - r[i, i + 1 :] @ c[i + 1 :]
-        c[i] = int(round_half_away(resid / r[i, i]))
-    return c
+        resid = y[..., i] - c[..., i + 1 :] @ r[i, i + 1 :]
+        c[..., i] = round_half_away(resid / r[i, i])
+    return c.astype(np.int64)
 
 
 def greedy_descent(lattice: TriangularLattice, seed_coeffs: np.ndarray) -> np.ndarray:
-    """Coordinate descent from a seed lattice point.
+    """Coordinate descent from a seed lattice point, per target.
 
     Each move shifts one coefficient by the integer minimizing the distance
-    along that basis direction, taking the best direction available; stops
-    when no single-direction move improves, errs after GREEDY_MAX_MOVES.
+    along that basis direction, taking the best direction available; a
+    target stops when no single-direction move improves it.  All targets
+    move in lockstep rounds, each still improving target making one move per
+    round; errs when a target is still improving after GREEDY_MAX_MOVES.
     """
     b = lattice.r
-    c = np.array(seed_coeffs, dtype=np.int64).copy()
+    c = np.atleast_2d(np.array(seed_coeffs, dtype=np.int64))
     norms_sq = np.sum(b * b, axis=0)
-    resid = b @ c.astype(float) - lattice.target
+    resid = c.astype(float) @ b.T - np.atleast_2d(lattice.target)
+    rows = np.arange(c.shape[0])
     for _ in range(GREEDY_MAX_MOVES):
-        g = 2.0 * (b.T @ resid)
+        res = resid[rows]
+        g = 2.0 * (res @ b)
         step = round_half_away(-g / (2.0 * norms_sq))
         gain = step * g + norms_sq * step * step
-        i = int(np.argmin(gain))
+        i = np.argmin(gain, axis=1)
+        best = np.arange(rows.size), i
         # strict decrease required, guards against half-integer tie cycling
-        if not gain[i] < -1e-12 * max(1.0, float(resid @ resid)):
-            return c
-        c[i] += int(step[i])
-        resid += step[i] * b[:, i]
+        moves = gain[best] < -1e-12 * np.maximum(1.0, np.sum(res * res, axis=1))
+        if not moves.any():
+            return c.reshape(np.shape(seed_coeffs))
+        rows, i, s = rows[moves], i[moves], step[best][moves]
+        c[rows, i] += s.astype(np.int64)
+        resid[rows] += s[:, None] * b[:, i].T
     raise IterationCapError(f"greedy descent did not converge in {GREEDY_MAX_MOVES} moves")
 
 
@@ -313,11 +320,6 @@ def enumerate_cvp(lattice: TriangularLattice) -> np.ndarray:
     )
 
 
-def covering_radius_bound(lattice: TriangularLattice) -> float:
-    """Every target is within this distance of the lattice (Babai guarantee)."""
-    return 0.5 * float(np.sqrt(np.sum(lattice.star_sq)))
-
-
 def plateau_estimate(lattice: TriangularLattice) -> float:
     """Expected distance to the lattice for a generic far target.
 
@@ -337,7 +339,7 @@ class LadderEntry:
     seconds: float
 
 
-def method_ladder(lattice: TriangularLattice, delta: float = LLL_DELTA_DEFAULT):
+def method_ladder(lattice: TriangularLattice):
     """Run the solver ladder on one instance, cheapest to strongest.
 
     Covers naive rounding, Babai on the given basis, Babai on the LLL basis,
@@ -358,11 +360,11 @@ def method_ladder(lattice: TriangularLattice, delta: float = LLL_DELTA_DEFAULT):
             )
         )
 
-    add("naive", naive_round(lattice))
+    add("naive", round_half_away(np.linalg.solve(lattice.r, lattice.target)))
     t0 = perf_counter()
     add("babai", babai_nearest_plane(lattice))
     t0 = perf_counter()
-    reduced, u = lll_reduce_with_transform(lattice, delta)
+    reduced, u = lll_reduce_with_transform(lattice)
     c = babai_nearest_plane(reduced)
     add("lll+babai", u @ c)
     t0 = perf_counter()

@@ -4,12 +4,13 @@ import itertools
 
 import numpy as np
 
+from evolat import lattice as lattice_module
+from evolat.engine import AUDIT_TOL, TWO_PI
 from evolat.lattice import (
     LLL_DELTA_DEFAULT,
     LLL_REFRESH_EVERY,
     IterationCapError,
     TriangularLattice,
-    naive_round,
     round_half_away,
     triangularize,
 )
@@ -37,6 +38,65 @@ def integer_determinant(matrix) -> int:
                 m[i][j] = (m[i][j] * m[col][col] - m[i][col] * m[col][j]) // prev
         prev = m[col][col]
     return sign * m[n - 1][n - 1]
+
+
+def naive_round(lattice: TriangularLattice) -> np.ndarray:
+    """Round the coefficients of the target in the given basis."""
+    c = np.linalg.solve(lattice.r, lattice.target)
+    return round_half_away(c).astype(np.int64)
+
+
+def covering_radius_bound(lattice: TriangularLattice) -> float:
+    """Every target is within this distance of the lattice (Babai guarantee)."""
+    return 0.5 * float(np.sqrt(np.sum(lattice.star_sq)))
+
+
+def babai_serial(lattice: TriangularLattice) -> np.ndarray:
+    """Babai's nearest-plane walk for one target, one level at a time."""
+    r, y = lattice.r, lattice.target
+    c = np.zeros(lattice.dim, dtype=np.int64)
+    for i in range(lattice.dim - 1, -1, -1):
+        resid = y[i] - r[i, i + 1 :] @ c[i + 1 :]
+        c[i] = int(round_half_away(resid / r[i, i]))
+    return c
+
+
+def greedy_serial(lattice: TriangularLattice, seed_coeffs) -> np.ndarray:
+    """Greedy coordinate descent for one target, one move at a time, under
+    the same cap as `greedy_descent`."""
+    b = lattice.r
+    c = np.array(seed_coeffs, dtype=np.int64).copy()
+    norms_sq = np.sum(b * b, axis=0)
+    resid = b @ c.astype(float) - lattice.target
+    for _ in range(lattice_module.GREEDY_MAX_MOVES):
+        g = 2.0 * (b.T @ resid)
+        step = round_half_away(-g / (2.0 * norms_sq))
+        gain = step * g + norms_sq * step * step
+        i = int(np.argmin(gain))
+        if not gain[i] < -1e-12 * max(1.0, float(resid @ resid)):
+            return c
+        c[i] += int(step[i])
+        resid += step[i] * b[:, i]
+    raise IterationCapError("greedy descent did not converge")
+
+
+def bound_at(pipeline, t: float):
+    """(C_bound(t), k) of a `ComplexityPipeline`, solved for this time
+    alone with the serial solvers, and audited like a sweep."""
+    lat = pipeline.lattice.with_target(pipeline.lattice.target * (t / TWO_PI))
+    if pipeline.chain.base == "naive":
+        coeffs = round_half_away(pipeline.energies * (t / TWO_PI)).astype(np.int64)
+    else:
+        coeffs = babai_serial(lat)
+    if pipeline.chain.use_greedy:
+        coeffs = greedy_serial(lat, coeffs)
+    k = coeffs if pipeline.transform is None else pipeline.transform @ coeffs
+    value = TWO_PI * lat.distance(coeffs)
+    resid = pipeline.energies * t - TWO_PI * k.astype(float)
+    audit = float(np.sqrt(resid @ pipeline.metric_matrix @ resid))
+    if abs(value - audit) > AUDIT_TOL * max(1.0, value):
+        raise ArithmeticError(f"distance {value!r} disagrees with quadratic form {audit!r}")
+    return value, k
 
 
 def box_cvp(lattice: TriangularLattice, radius: int):

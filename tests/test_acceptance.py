@@ -125,7 +125,7 @@ def resonant_run(n: int, m: int, kind: str, seed, k: int):
     pipe = engine.ComplexityPipeline(spec.energies, engine.ComplexityMetric(mu=mu, q=q))
     trace = pipe.sweep(TIMES_LATE)
     mean = engine.plateau_stats(trace, WINDOW_LATE).mean
-    est = lattice.plateau_estimate(pipe.reduced_lattice())
+    est = lattice.plateau_estimate(pipe.lattice)
     return mean, est, float(trace.values.max()), engine.complexity_ceiling(mu, spec.dim)
 
 

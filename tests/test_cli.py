@@ -182,6 +182,20 @@ def test_su_restriction_at_unit_cost_needs_no_locality(tmp_path):
     assert 0.0 < meta["max_value"] <= meta["ceiling"]
 
 
+@pytest.mark.parametrize("mu", [1, "dim"])
+def test_su_config_matches_su_metric(mu):
+    cfg = {
+        "model": {"family": "resonant", "kind": "truncated",
+                  "n_particles": 5, "total_level": 5},
+        "threshold": 4,
+        "mu": mu,
+        "nu": "su",
+    }
+    bundle = cli._build_model(cfg)
+    metric = cli._metric_for(cfg, bundle)
+    assert metric.nu == engine.su_metric(metric.q, metric.mu).nu > 0.0
+
+
 def test_unit_cost_skips_the_nonlocality_matrix(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("Q built at mu = 1")
@@ -254,9 +268,10 @@ def test_plateau_matches_estimate(tmp_path):
 
 
 @pytest.mark.parametrize("chain", ["lll+babai+greedy", "babai+greedy"])
-def test_plateau_estimate_reuses_pipeline_reduction(tmp_path, chain):
-    """The estimate from the pipeline's own LLL basis is the one a second,
-    separate reduction of the embedding basis gives, to the last bit."""
+def test_plateau_estimate_reuses_pipeline_reduction(tmp_path, monkeypatch, chain):
+    """The estimate comes from the lattice the chain solves on.  With LLL that
+    is the reduced basis, equal to the last bit to a separate reduction of
+    the embedding basis; without LLL nothing is reduced at all."""
     cfg = {
         "model": {"family": "resonant", "kind": "truncated",
                   "n_particles": 10, "total_level": 10},
@@ -266,15 +281,23 @@ def test_plateau_estimate_reuses_pipeline_reduction(tmp_path, chain):
         "times": {"start": 20000.0, "stop": 24000.0, "count": 21},
         "window": [20000.0, 24000.0],
     }
-    out = run(tmp_path, "plateau", cfg, "plateau_reuse")
-    meta = json.load(open(out / "plateau.json"))
     bundle = cli._build_model(cfg)
     metric = cli._metric_for(cfg, bundle)
+    if "lll" in chain:
+        embedding = engine.ComplexityPipeline(bundle.spectrum.energies, metric, "babai")
+        solved_on = lattice.lll_reduce_with_transform(embedding.lattice)[0]
+    else:
+        def refuse(*args, **kwargs):
+            raise AssertionError("LLL run for a chain without it")
+
+        monkeypatch.setattr(lattice, "lll_reduce_with_transform", refuse)
+        monkeypatch.setattr(engine, "lll_reduce_with_transform", refuse)
     pipeline = engine.ComplexityPipeline(bundle.spectrum.energies, metric, chain)
-    fresh = lattice.lll_reduce(pipeline.lattice)
-    reused = pipeline.reduced_lattice()
-    assert np.array_equal(reused.r, fresh.r)
-    assert meta["estimate"] == lattice.plateau_estimate(fresh)
+    if "lll" in chain:
+        assert np.array_equal(pipeline.lattice.r, solved_on.r)
+    out = run(tmp_path, "plateau", cfg, "plateau_reuse")
+    meta = json.load(open(out / "plateau.json"))
+    assert meta["estimate"] == lattice.plateau_estimate(pipeline.lattice)
 
 
 # ---------------------------------------------------------------- cvp

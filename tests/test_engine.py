@@ -1,7 +1,11 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from evolat import linalg, resonant
 from evolat.engine import (
+    SU_NU_FACTOR,
     ComplexityMetric,
     ComplexityPipeline,
     ComplexityTrace,
@@ -16,6 +20,7 @@ from evolat.engine import (
     su_metric,
 )
 from evolat.linalg import HermitianMatrix, Spectrum, eigendecompose, normalize_energies
+from oracles import bound_at
 
 
 class ArrayClassifier:
@@ -106,7 +111,7 @@ def test_metric_matrix_formula():
 def test_su_metric_default_nu():
     e = np.array([-0.5, -0.1, 0.2, 0.4])
     m = su_metric(projector_q(e), mu=6.0)
-    assert m.nu == pytest.approx(6000.0)
+    assert m.nu == pytest.approx(6000.0) == SU_NU_FACTOR * 6.0
     assert m.mu == 6.0
 
 
@@ -187,8 +192,8 @@ def test_pipeline_mu_one_reduces_to_bi_invariant():
     rng = np.random.default_rng(17)
     e = random_normalized(rng, 50)
     pipe = ComplexityPipeline(e, ComplexityMetric(mu=1.0, nu=0.0, q=None))
-    for t in rng.uniform(5.0, 2000.0, size=12):
-        v, k = pipe.bound_at(float(t))
+    trace = pipe.sweep(np.sort(rng.uniform(5.0, 2000.0, size=12)))
+    for t, v, k in zip(trace.times, trace.values, trace.minimizers):
         assert v == pytest.approx(float(bi_invariant_complexity(e, float(t))), abs=1e-9)
         # the minimizer is the per-mode winding count
         assert np.array_equal(k, np.round(e * t / (2.0 * np.pi)).astype(np.int64))
@@ -200,8 +205,8 @@ def test_pipeline_value_matches_quadratic_form():
     metric = ComplexityMetric(mu=24.0, nu=0.0, q=projector_q(e))
     pipe = ComplexityPipeline(e, metric)
     g = metric.matrix(24)
-    for t in (10.0, 300.0, 4000.0):
-        v, k = pipe.bound_at(t)
+    trace = pipe.sweep([10.0, 300.0, 4000.0])
+    for t, v, k in zip(trace.times, trace.values, trace.minimizers):
         r = e * t - 2.0 * np.pi * k
         assert v == pytest.approx(float(np.sqrt(r @ g @ r)), rel=1e-10)
 
@@ -212,7 +217,7 @@ def test_pipeline_naive_chain_rounds_windings():
     metric = ComplexityMetric(mu=16.0, nu=0.0, q=projector_q(e))
     pipe = ComplexityPipeline(e, metric, chain="naive")
     t = 500.0
-    _, k = pipe.bound_at(t)
+    k = pipe.sweep([t]).minimizers[0]
     assert np.array_equal(k, np.round(e * t / (2.0 * np.pi)).astype(np.int64))
 
 
@@ -220,8 +225,7 @@ def test_pipeline_su_restriction_traceless_minimizer():
     rng = np.random.default_rng(41)
     e = random_normalized(rng, 20)
     pipe = ComplexityPipeline(e, su_metric(projector_q(e), mu=20.0))
-    for t in rng.uniform(10.0, 5000.0, size=8):
-        _, k = pipe.bound_at(float(t))
+    for k in pipe.sweep(np.sort(rng.uniform(10.0, 5000.0, size=8))).minimizers:
         assert int(k.sum()) == 0
 
 
@@ -231,8 +235,49 @@ def test_pipeline_greedy_never_hurts():
     metric = ComplexityMetric(mu=30.0, nu=0.0, q=projector_q(e))
     with_g = ComplexityPipeline(e, metric, chain="lll+babai+greedy")
     without = ComplexityPipeline(e, metric, chain="lll+babai")
-    for t in rng.uniform(100.0, 3000.0, size=10):
-        assert with_g.bound_at(float(t))[0] <= without.bound_at(float(t))[0] + 1e-9
+    ts = np.sort(rng.uniform(100.0, 3000.0, size=10))
+    assert np.all(with_g.sweep(ts).values <= without.sweep(ts).values + 1e-9)
+
+
+CHAINS = ["naive", "babai", "babai+greedy", "lll+babai", "lll+babai+greedy"]
+
+
+@lru_cache(maxsize=None)
+def resonant_metric(n: int):
+    """The truncated (n, n) block at threshold 4 and mu = D."""
+    block = resonant.enumerate_block(n, n)
+    h = resonant.build_block_hamiltonian(block, resonant.coupling_truncated())
+    spec = linalg.normalize_spectrum(linalg.eigendecompose(h))
+    q = nonlocality_matrix(spec, resonant.resonant_locality_classifier(block, 4))
+    return spec.energies, ComplexityMetric(mu=float(spec.dim), q=q)
+
+
+def assert_sweep_matches_reference(pipe, times):
+    """Every time of a sweep holds the value, to the byte, and the minimizer
+    that solving that time alone with the serial solvers gives."""
+    trace = pipe.sweep(times)
+    assert trace.minimizers.shape == (len(times), pipe.dim)
+    for t, v, k in zip(trace.times, trace.values, trace.minimizers):
+        ref_v, ref_k = bound_at(pipe, t)
+        assert np.array_equal(k, ref_k)
+        assert v.tobytes() == np.float64(ref_v).tobytes()
+
+
+@pytest.mark.parametrize("chain", CHAINS)
+@pytest.mark.parametrize("n", [12, 14])
+def test_sweep_matches_per_time_reference_on_resonant_blocks(n, chain):
+    e, metric = resonant_metric(n)
+    pipe = ComplexityPipeline(e, metric, chain)
+    assert_sweep_matches_reference(pipe, np.linspace(20000.0, 24000.0, 41))
+
+
+@pytest.mark.parametrize("chain", CHAINS)
+def test_sweep_matches_per_time_reference_su_and_unit_cost(chain):
+    rng = np.random.default_rng(59)
+    e = random_normalized(rng, 20)
+    times = np.sort(rng.uniform(10.0, 5000.0, size=15))
+    for metric in (su_metric(projector_q(e), mu=20.0), ComplexityMetric()):
+        assert_sweep_matches_reference(ComplexityPipeline(e, metric, chain), times)
 
 
 def test_sweep_rejects_unsorted_times():
@@ -242,9 +287,9 @@ def test_sweep_rejects_unsorted_times():
         pipe.sweep(np.array([2.0, 1.0, 3.0]))
 
 
-def test_complexity_bound_at_helper():
+def test_complexity_single_time_sweep():
     e = normalize_energies(np.arange(6.0))
-    v, k = ComplexityPipeline(e, ComplexityMetric(mu=1.0, nu=0.0, q=None)).bound_at(50.0)
+    v = ComplexityPipeline(e, ComplexityMetric(mu=1.0, nu=0.0, q=None)).sweep([50.0]).values[0]
     assert v == pytest.approx(float(bi_invariant_complexity(e, 50.0)), abs=1e-9)
 
 
@@ -255,15 +300,15 @@ def test_ceiling_formula():
 
 def test_trace_validation():
     with pytest.raises(ValueError):
-        ComplexityTrace(np.array([1.0, 1.0]), np.array([0.1, 0.2]), "naive")
+        ComplexityTrace(np.array([1.0, 1.0]), np.array([0.1, 0.2]), "naive", np.zeros((2, 1)))
     with pytest.raises(ValueError):
-        ComplexityTrace(np.array([1.0, 2.0]), np.array([-0.1, 0.2]), "naive")
+        ComplexityTrace(np.array([1.0, 2.0]), np.array([-0.1, 0.2]), "naive", np.zeros((2, 1)))
 
 
 def test_plateau_stats_windowing():
     ts = np.linspace(0.0, 100.0, 101)
     vals = np.full(101, 4.0)
-    tr = ComplexityTrace(ts, vals, "biinvariant")
+    tr = ComplexityTrace(ts, vals, "biinvariant", np.zeros((101, 1), dtype=np.int64))
     ps = plateau_stats(tr, (50.0, 100.0))
     assert ps.mean == pytest.approx(4.0)
     assert ps.variance == pytest.approx(0.0)

@@ -11,22 +11,23 @@ from evolat.lattice import (
     IterationCapError,
     TriangularLattice,
     babai_nearest_plane,
-    covering_radius_bound,
     enumerate_cvp,
     greedy_descent,
-    lll_reduce,
     lll_reduce_with_transform,
     method_ladder,
-    naive_round,
     plateau_estimate,
     round_half_away,
     triangularize,
 )
 from oracles import (
     BOX_MAX_DIM,
+    babai_serial,
     box_cvp,
+    covering_radius_bound,
+    greedy_serial,
     integer_determinant,
     lll_reference,
+    naive_round,
     widening_box_cvp,
 )
 
@@ -210,7 +211,8 @@ def test_lll_never_grows_star_profile_sum():
     for _ in range(20):
         d = int(rng.integers(2, 10))
         lat = TriangularLattice.from_columns(rng.standard_normal((d, d)), np.zeros(d))
-        assert lll_reduce(lat).star_sq.sum() <= lat.star_sq.sum() * (1.0 + 1e-9)
+        reduced = lll_reduce_with_transform(lat)[0]
+        assert reduced.star_sq.sum() <= lat.star_sq.sum() * (1.0 + 1e-9)
 
 
 def test_integer_determinant_exact():
@@ -231,14 +233,18 @@ def test_integer_determinant_matches_float(seed):
     assert integer_determinant(m) == round(np.linalg.det(m.astype(float)))
 
 
+def ladder_rung(lat, method):
+    return next(e.coeffs for e in method_ladder(lat) if e.method == method)
+
+
 def test_naive_round_orthogonal_is_exact():
     lat = TriangularLattice(2.0 * np.pi * np.eye(2), np.array([3.0, 7.0]))
-    assert np.array_equal(naive_round(lat), [0, 1])
+    assert np.array_equal(ladder_rung(lat, "naive"), [0, 1])
 
 
 def test_naive_round_skewed_misses_optimum():
     lat = TriangularLattice(np.array([[1.0, 0.9], [0.0, 0.1]]), np.array([0.5, 0.05]))
-    naive = naive_round(lat)
+    naive = ladder_rung(lat, "naive")
     exact = enumerate_cvp(lat)
     assert np.array_equal(naive, [0, 1])
     assert np.array_equal(exact, [-2, 3])
@@ -294,6 +300,61 @@ def test_greedy_improves_and_terminates_stationary(seed):
     assert np.array_equal(steps, np.zeros(6))
 
 
+def test_stacked_targets_solve_like_single_ones():
+    """A (T, D) stack gives each row the answer the serial walk and descent
+    give that row alone."""
+    rng = np.random.default_rng(12)
+    _, lat = random_lattice(rng, 9)
+    stacked = lat.with_target(rng.uniform(-6.0, 6.0, size=(7, 9)) @ lat.r.T
+                              + rng.uniform(-0.5, 0.5, size=(7, 9)))
+    babai = babai_nearest_plane(stacked)
+    greedy = greedy_descent(stacked, babai)
+    dist = stacked.distance(greedy)
+    assert babai.shape == greedy.shape == (7, 9) and dist.shape == (7,)
+    for row, target in enumerate(stacked.target):
+        single = lat.with_target(target)
+        assert np.array_equal(babai[row], babai_serial(single))
+        assert np.array_equal(greedy[row], greedy_serial(single, babai[row]))
+        assert dist[row] == single.distance(greedy[row])
+
+
+def test_stacked_targets_rotate_row_by_row():
+    rng = np.random.default_rng(13)
+    b = rng.standard_normal((4, 4))
+    ys = rng.standard_normal((4, 4))
+    stacked = TriangularLattice.from_columns(b, ys)
+    reduced = lll_reduce_with_transform(stacked)[0]
+    # a stack is rotated by one matrix product, which sums in another order
+    for row, y in enumerate(ys):
+        single = TriangularLattice.from_columns(b, y)
+        np.testing.assert_allclose(stacked.target[row], single.target, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(reduced.target[row],
+                                   lll_reduce_with_transform(single)[0].target, rtol=0, atol=1e-13)
+
+
+# seeds that the descent on the unit lattice, target 0, fixes in 0, 1, 2
+# and 3 moves: each move zeroes the largest coefficient left
+UNIT_SEEDS = np.array([[0, 0, 0], [5, 0, 0], [2, -3, 0], [1, 4, -2]])
+
+
+def test_greedy_batch_stops_targets_independently():
+    lat = TriangularLattice(np.eye(3), np.zeros((4, 3)))
+    out = greedy_descent(lat, UNIT_SEEDS)
+    assert out.dtype == np.int64 and np.array_equal(out, np.zeros((4, 3)))
+    for seed, row in zip(UNIT_SEEDS, out):
+        assert np.array_equal(row, greedy_serial(TriangularLattice(np.eye(3), np.zeros(3)), seed))
+
+
+def test_greedy_move_cap_is_per_target(monkeypatch):
+    # a target needs one check past its last move, so a cap of 3 moves
+    # serves the seeds fixed in up to 2 moves and stops the one needing 3
+    monkeypatch.setattr(lattice, "GREEDY_MAX_MOVES", 3)
+    lat = TriangularLattice(np.eye(3), np.zeros((3, 3)))
+    assert np.array_equal(greedy_descent(lat, UNIT_SEEDS[:3]), np.zeros((3, 3)))
+    with pytest.raises(IterationCapError, match="3 moves"):
+        greedy_descent(lat.with_target(np.zeros((4, 3))), UNIT_SEEDS)
+
+
 def test_brute_force_tiny_box_matches_itertools():
     rng = np.random.default_rng(11)
     b = rng.standard_normal((3, 3))
@@ -328,6 +389,8 @@ def test_cvp_instance_rejects_mismatched_target():
         TriangularLattice(np.eye(3), np.zeros(4))
     with pytest.raises(ValueError, match="target shape"):
         TriangularLattice(np.eye(3), np.zeros(3)).with_target(np.zeros(2))
+    with pytest.raises(ValueError, match="target shape"):
+        TriangularLattice(np.eye(3), np.zeros((2, 4)))
 
 
 def test_plateau_and_covering_on_identity():
@@ -382,7 +445,7 @@ def test_enumeration_matches_widening_box():
     for _ in range(60):
         d = int(rng.integers(2, 7))
         _, lat = random_lattice(rng, d)
-        reduced = lll_reduce(lat)
+        reduced = lll_reduce_with_transform(lat)[0]
         boxed = reduced.distance(widening_box_cvp(reduced))
         for inst in (lat, reduced):
             exact = inst.distance(enumerate_cvp(inst))
