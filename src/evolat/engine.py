@@ -17,10 +17,9 @@ handled by the solvers in `lattice`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
 
 from .lattice import (
     TriangularLattice,
@@ -108,31 +107,59 @@ class NonlocalityMatrix:
         return float(np.abs(self.entries @ np.asarray(energies, float)).max())
 
 
+def gram_batches(blocks: Iterable[np.ndarray], dim: int) -> Iterator[np.ndarray]:
+    """A classifier's blocks, checked, made real and regrouped for Gram
+    products.
+
+    numpy runs a.T @ a as one syrk and then mirrors the triangle by a strided
+    copy, a fixed O(dim^2) cost per product (8-11 ms at dim = 1575 on a
+    2-core host) that only products of many rows amortize.  A block of at
+    least dim // 2 rows passes through as it is; smaller ones are copied, in
+    order, into one staging array of dim // 2 rows (half the size of Q),
+    which is yielded each time it fills and once more at the end.  A yielded
+    array is only valid until the next one is asked for.
+    """
+    rows = max(1, dim // 2)
+    stage, filled = None, 0
+    for z in blocks:
+        z = np.ascontiguousarray(real_block(np.asarray(z)), dtype=np.float64)
+        if z.ndim != 2 or z.shape[1] != dim:
+            raise ValueError(
+                f"classifier yielded a block of shape {z.shape} for dim {dim}; "
+                "expected 2-D blocks of width dim"
+            )
+        if z.shape[0] >= rows:
+            yield z
+        elif z.shape[0]:
+            if stage is None:
+                stage = np.empty((rows, dim))
+            take = min(rows - filled, z.shape[0])
+            stage[filled : filled + take] = z[:take]
+            filled += take
+            if filled == rows:  # z has fewer than rows rows, so its rest fits
+                yield stage
+                filled = z.shape[0] - take
+                stage[:filled] = z[take:]
+        del z  # release the block before the next one is built
+    if filled:
+        yield stage[:filled]
+
+
 def nonlocality_matrix(spectrum: Spectrum, classifier: LocalityClassifier) -> NonlocalityMatrix:
     """Build Q from a spectrum and a locality classifier.
 
-    The Gram matrix sum_alpha z_alpha z_alpha^T is accumulated one block of
-    rows at a time, so memory stays at a few dim x dim arrays plus one block.
+    Q = I - sum_alpha z_alpha z_alpha^T is accumulated one batch of rows at a
+    time, so memory stays at a few dim x dim arrays plus one block.  Each
+    batch's Gram matrix is numpy's a.T @ a, exactly symmetric, so Q is too.
     """
     d = spectrum.dim
-    gram = np.zeros((d, d), order="F")  # upper triangle filled by dsyrk
-    for z in classifier.local_diagonals(spectrum):
-        z = real_block(np.asarray(z))
-        if z.ndim != 2 or z.shape[1] != d:
-            raise ValueError(
-                f"classifier yielded a block of shape {z.shape} for dim {d}; "
-                "expected 2-D blocks of width dim"
-            )
-        if z.shape[0]:
-            # z.T is Fortran-ordered, so BLAS reads the block without a copy
-            gram = dsyrk(1.0, z.T.astype(np.float64, copy=False), beta=1.0, c=gram,
-                         overwrite_c=1)
+    q = np.eye(d)
+    gram = np.empty((d, d))
+    for z in gram_batches(classifier.local_diagonals(spectrum), d):
+        np.matmul(z.T, z, out=gram)
+        q -= gram
         del z  # release the block before the next one is built
-    q = np.triu(gram)
     del gram
-    q += np.triu(q, 1).T  # mirror: Q is exactly symmetric
-    q *= -1.0
-    q.flat[:: d + 1] += 1.0  # q = I - gram, in place
     evals = np.linalg.eigvalsh(q)
     if evals[0] < -Q_EIGENVALUE_TOL or evals[-1] > 1.0 + Q_EIGENVALUE_TOL:
         raise ArithmeticError(

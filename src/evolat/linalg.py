@@ -154,10 +154,13 @@ def load_matrix(path) -> np.ndarray:
         dtype = {_KIND_FLOAT64: np.float64, _KIND_COMPLEX128: np.complex128}.get(kind)
         if dtype is None:
             raise ValueError(f"{path}: unknown element kind {kind}")
-        data = np.frombuffer(fh.read(), dtype=dtype)
-    if data.size != dim * dim:
-        raise ValueError(f"{path}: expected {dim * dim} entries, found {data.size}")
-    return data.reshape((dim, dim), order="F").copy()
+        body = fh.read()
+    size = np.dtype(dtype).itemsize
+    if len(body) != dim * dim * size:
+        raise ValueError(
+            f"{path}: expected {dim * dim} entries of {size} bytes, found {len(body)} bytes"
+        )
+    return np.frombuffer(body, dtype=dtype).reshape((dim, dim), order="F").copy()
 
 
 def spectrum_to_json(spectrum: Spectrum) -> str:
@@ -173,8 +176,11 @@ def spectrum_to_json(spectrum: Spectrum) -> str:
 def spectrum_from_json(text: str) -> Spectrum:
     """Inverse of spectrum_to_json; all-zero vectors_im gives real vectors."""
     payload = json.loads(text)
+    energies = np.array(payload["energies"], dtype=float)
+    if payload["dim"] != energies.size:
+        raise ValueError(f"spectrum claims dim {payload['dim']} over {energies.size} energies")
     v = np.array(payload["vectors_re"], dtype=float)
     im = np.array(payload["vectors_im"], dtype=float)
     if np.any(im != 0.0):
         v = v + 1j * im
-    return Spectrum(np.array(payload["energies"], dtype=float), v)
+    return Spectrum(energies, v)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-import scipy.linalg
 
 from .engine import block_rows, real_block
 from .linalg import HermitianMatrix, Spectrum
@@ -83,6 +82,12 @@ def _signs(z: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(z[:, None] & cols) & 1)
 
 
+def _distinct(x: np.ndarray) -> list:
+    """The distinct x masks, ascending.  (np.unique would import numpy.ma,
+    about 15 ms, on its first call.)"""
+    return sorted(set(x.tolist()))
+
+
 def _scatter(rep: CliffordRep, x: np.ndarray, z: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """Dense sum_t coeff_t X^x_t Z^z_t.  Entry [k, k ^ x] of X^x Z^z is
     (-1)^popcount(z & (k ^ x)), so strings sharing an x are one product."""
@@ -94,7 +99,7 @@ def _scatter(rep: CliffordRep, x: np.ndarray, z: np.ndarray, coeff: np.ndarray) 
             f"about {need} bytes, above DENSE_BYTES_LIMIT = {DENSE_BYTES_LIMIT}")
     h = np.zeros((d, d), dtype=np.complex128)
     k = np.arange(d)
-    for mask in np.unique(x).tolist():
+    for mask in _distinct(x):
         group, cols = np.flatnonzero(x == mask), k ^ mask
         h[k, cols] += coeff[group] @ _signs(z[group], cols)  # (k, cols) never repeats
     return h
@@ -127,6 +132,9 @@ def antisymmetric_canonical_form(j2: np.ndarray):
     scale = max(np.abs(j).max(), 1.0)
     if np.abs(j + j.T).max() > 1e-12 * scale:
         raise ValueError("matrix must be antisymmetric")
+    # imported on first use: scipy loads a second OpenBLAS, and only this Schur needs it
+    import scipy.linalg
+
     t, z = scipy.linalg.schur(j, output="real")
     tol = 1e-10 * scale
     pairs = []
@@ -315,7 +323,7 @@ class MonomialClassifier:
         d, v, j = spectrum.dim, spectrum.vectors, np.arange(spectrum.dim)
         rows = block_rows(d, 64)  # block, signs, complex rows, real rows
         block, fill = None, 0
-        for mask in np.unique(x).tolist():
+        for mask in _distinct(x):
             a = np.asarray(v[j ^ mask], dtype=np.complex128, order="C")  # a copy
             np.conjugate(a, out=a)
             a *= v

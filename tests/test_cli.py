@@ -6,6 +6,10 @@ overhead of spawning interpreters.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,3 +354,61 @@ def test_seed_override_changes_hash_and_output(tmp_path):
     e_base = json.load(open(out_base / "energies.json"))["energies"]
     e_over = json.load(open(out_over / "energies.json"))["energies"]
     assert e_base != e_over
+
+
+# ---------------------------------------------------------------- one BLAS library
+
+# Runs an evolat command in a fresh interpreter, then reports the scipy modules
+# it imported and the BLAS libraries mapped into it (where /proc/self/maps
+# exists).  scipy ships its own OpenBLAS next to numpy's; each has a thread
+# pool, and switching between the two stalls.
+ONE_BLAS_PROBE = """
+import json, os, sys
+import evolat.cli
+if len(sys.argv) > 1:
+    assert evolat.cli.main(sys.argv[1:]) == 0
+maps = "/proc/self/maps"
+libs = None
+if os.path.exists(maps):
+    with open(maps) as fh:
+        paths = {line.split()[-1] for line in fh if "/" in line}
+    libs = sorted(p for p in paths if "blas" in os.path.basename(p).lower())
+print(json.dumps({"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "blas": libs}))
+"""
+
+ONE_BLAS_RUNS = {
+    "import": None,
+    "qspec-syk-chaotic4": ("qspec", {
+        "model": {"family": "syk", "variant": "chaotic4", "n_modes": 10, "seed": 3},
+        "threshold": 4,
+    }),
+    "bound-resonant-mu-dim": ("bound", {
+        "model": {"family": "resonant", "kind": "truncated",
+                  "n_particles": 8, "total_level": 8},
+        "threshold": 4,
+        "mu": "dim",
+        "chain": "babai+greedy",
+        "times": {"start": 20000.0, "stop": 24000.0, "count": 11},
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_BLAS_RUNS))
+def test_cli_loads_no_scipy_and_one_blas(tmp_path, case):
+    """Importing the CLI, and building Q for SYK and resonant models, loads no
+    scipy module (not even scipy.stats) and maps at most one BLAS library."""
+    argv = []
+    if ONE_BLAS_RUNS[case] is not None:
+        command, cfg = ONE_BLAS_RUNS[case]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", ONE_BLAS_PROBE, *argv], env=env,
+                         capture_output=True, text=True, check=True)
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report["scipy"] == []
+    if report["blas"] is not None:
+        assert len(report["blas"]) <= 1, report["blas"]

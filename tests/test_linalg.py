@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,22 @@ def test_load_matrix_rejects_truncated_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError):
         load_matrix(path)
+
+
+def test_load_matrix_rejects_partial_entry(tmp_path):
+    """A body cut inside an entry names the file, like any short body."""
+    path = tmp_path / "m.evlm"
+    save_matrix(path, np.eye(3))
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(ValueError, match=r"m\.evlm: expected 9 entries of 8 bytes, found 69 bytes"):
+        load_matrix(path)
+
+
+def test_spectrum_json_rejects_wrong_dim():
+    payload = json.loads(spectrum_to_json(eigendecompose(HermitianMatrix(np.eye(2)))))
+    payload["dim"] = 5
+    with pytest.raises(ValueError, match="dim 5 over 2 energies"):
+        spectrum_from_json(json.dumps(payload))
 
 
 def test_spectrum_json_round_trip():

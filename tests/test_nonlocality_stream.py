@@ -50,6 +50,7 @@ def test_resonant_stream_matches_dense_formula(n, kind):
     for threshold in (0, 2, 4):
         cls = resonant.resonant_locality_classifier(block, threshold)
         q = nonlocality_matrix(spec, cls)
+        assert np.array_equal(q.entries, q.entries.T)
         assert np.abs(q.entries - dense_resonant_q(cls, spec)).max() < 1e-12
 
 
@@ -63,6 +64,7 @@ def test_resonant_stream_with_complex_eigenvectors():
     for threshold in (0, 2, 4):
         cls = resonant.resonant_locality_classifier(block, threshold)
         q = nonlocality_matrix(cspec, cls)
+        assert np.array_equal(q.entries, q.entries.T)
         assert np.abs(q.entries - dense_resonant_q(cls, cspec)).max() < 1e-12
         assert np.abs(q.entries - nonlocality_matrix(spec, cls).entries).max() < 1e-12
 
@@ -77,6 +79,25 @@ def test_resonant_blocks_respect_the_budget(monkeypatch):
     assert len(blocks) > 10
     assert max(z.shape[0] for z in blocks) == 8
     q = nonlocality_matrix(spec, cls)
+    assert np.abs(q.entries - whole.entries).max() < 1e-12
+
+
+def test_small_blocks_are_staged_without_changing_q(monkeypatch):
+    """Blocks under dim // 2 rows are copied, in order, into batches of
+    dim // 2 rows before each Gram product; Q moves by roundoff only."""
+    block, spec = resonant_spectrum(10, "truncated")
+    cls = resonant.resonant_locality_classifier(block, 4)
+    d = spec.dim
+    whole = nonlocality_matrix(spec, cls)
+    assert min(z.shape[0] for z in cls.local_diagonals(spec)) >= d // 2  # unstaged
+    monkeypatch.setattr(engine, "Q_BLOCK_BYTES", 4 * d * 16)
+    blocks = list(cls.local_diagonals(spec))
+    assert max(z.shape[0] for z in blocks) == 4 < d // 2
+    batches = [z.copy() for z in engine.gram_batches(iter(blocks), d)]
+    assert [z.shape[0] for z in batches[:-1]] == [d // 2] * (len(batches) - 1)
+    assert np.array_equal(np.concatenate(batches), np.concatenate(blocks))
+    q = nonlocality_matrix(spec, cls)
+    assert np.array_equal(q.entries, q.entries.T)
     assert np.abs(q.entries - whole.entries).max() < 1e-12
 
 
@@ -146,6 +167,7 @@ def test_syk_stream_matches_dense_formula(variant, threshold):
     spec = linalg.normalize_spectrum(linalg.eigendecompose(h))
     cls = syk.syk_locality_classifier(rep, threshold)
     q = nonlocality_matrix(spec, cls)
+    assert np.array_equal(q.entries, q.entries.T)
     assert np.abs(q.entries - dense_syk_q(cls, spec)).max() < 1e-12
 
 
@@ -171,6 +193,7 @@ def test_syk_pauli_stream_matches_dense_products(n):
     for threshold in (2, 3, 4):
         cls = syk.syk_locality_classifier(rep, threshold)
         q = nonlocality_matrix(spec, cls)
+        assert np.array_equal(q.entries, q.entries.T)
         assert np.abs(q.entries - dense_syk_q(cls, spec)).max() < 1e-12
 
 

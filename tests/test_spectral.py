@@ -1,12 +1,6 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import evolat
 from evolat.spectral import (
     UnfoldedSpacings,
     histogram_rows,
@@ -145,15 +139,6 @@ def test_ks_matches_scipy_kstest_exactly():
         for name, cdf in (("wigner", wigner_cdf), ("poisson", poisson_cdf),
                           (half_normal_cdf, half_normal_cdf)):
             assert ks_distance(s, name) == kstest_statistic(s.values, cdf)
-
-
-def test_cli_import_leaves_scipy_stats_out():
-    src = str(Path(evolat.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = "import sys, evolat.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
 
 
 def test_ks_rejects_unknown_name():
