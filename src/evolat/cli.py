@@ -16,9 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -93,20 +91,6 @@ PRESETS = {
 def _config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
-
-
-def _atomic_write(path: Path, data) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if isinstance(data, str):
-        data = data.encode()
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _fmt(x) -> str:
@@ -276,7 +260,12 @@ def _load_config(args) -> dict:
     else:
         raise SystemExit("a --config file or --preset name is required")
     if args.seed is not None:
-        cfg.setdefault("model", {})["seed"] = args.seed
+        mc = cfg.get("model")
+        if not isinstance(mc, dict):
+            raise SystemExit("--seed sets the model seed, but this config has no model")
+        if mc.get("family") == "resonant" and mc.get("kind") != "random":
+            raise SystemExit(f"--seed: resonant kind {mc.get('kind')!r} draws no random couplings")
+        mc["seed"] = args.seed
     return cfg
 
 
@@ -294,17 +283,17 @@ def cmd_gen(cfg: dict, outdir: Path) -> int:
         meta["hamiltonian_file"] = path.name
         print(f"wrote {path}")
     if bundle.spectrum.dim <= 256:
-        _atomic_write(outdir / "spectrum.json", linalg.spectrum_to_json(bundle.spectrum))
+        linalg.atomic_write(outdir / "spectrum.json", linalg.spectrum_to_json(bundle.spectrum))
         print(f"wrote {outdir / 'spectrum.json'}")
-    _atomic_write(
+    linalg.atomic_write(
         outdir / "energies.json",
         _json_text({"energies": bundle.spectrum.energies.tolist()}),
     )
     print(f"wrote {outdir / 'energies.json'}")
     for name, text in bundle.extras.items():
-        _atomic_write(outdir / name, text)
+        linalg.atomic_write(outdir / name, text)
         print(f"wrote {outdir / name}")
-    _atomic_write(outdir / "gen_meta.json", _json_text(meta))
+    linalg.atomic_write(outdir / "gen_meta.json", _json_text(meta))
     print(f"wrote {outdir / 'gen_meta.json'}")
     return 0
 
@@ -327,7 +316,7 @@ def cmd_bound(cfg: dict, outdir: Path) -> int:
         f"{_fmt(t)},{_fmt(v)},{trace.method}"
         for t, v in zip(trace.times, trace.values)
     ]
-    _atomic_write(outdir / "bound.csv", _csv_text(h, "trace", "t,c_bound,method", rows))
+    linalg.atomic_write(outdir / "bound.csv", _csv_text(h, "trace", "t,c_bound,method", rows))
     mu = pipeline.metric.mu if pipeline is not None else 1.0
     meta = _meta(
         cfg,
@@ -337,7 +326,7 @@ def cmd_bound(cfg: dict, outdir: Path) -> int:
         ceiling=engine.complexity_ceiling(mu, bundle.spectrum.dim),
         max_value=float(trace.values.max()),
     )
-    _atomic_write(outdir / "bound_meta.json", _json_text(meta))
+    linalg.atomic_write(outdir / "bound_meta.json", _json_text(meta))
     print(f"wrote {outdir / 'bound.csv'} ({trace.values.size} samples, method {trace.method})")
     return 0
 
@@ -350,7 +339,7 @@ def cmd_qspec(cfg: dict, outdir: Path) -> int:
     q = engine.nonlocality_matrix(bundle.spectrum, bundle.classifier(thr))
     h = _config_hash(cfg)
     rows = [f"{i},{_fmt(v)}" for i, v in enumerate(q.eigenvalues)]
-    _atomic_write(outdir / "qspec.csv", _csv_text(h, "qspec", "index,eigenvalue", rows))
+    linalg.atomic_write(outdir / "qspec.csv", _csv_text(h, "qspec", "index,eigenvalue", rows))
     meta = _meta(
         cfg,
         model=bundle.name,
@@ -358,7 +347,7 @@ def cmd_qspec(cfg: dict, outdir: Path) -> int:
         null_residual=q.null_residual(bundle.spectrum.energies),
         null_count=int(np.sum(q.eigenvalues < 1e-8)),
     )
-    _atomic_write(outdir / "qspec_meta.json", _json_text(meta))
+    linalg.atomic_write(outdir / "qspec_meta.json", _json_text(meta))
     print(f"wrote {outdir / 'qspec.csv'} ({q.dim} eigenvalues, threshold {thr})")
     return 0
 
@@ -367,7 +356,7 @@ def cmd_stats(cfg: dict, outdir: Path) -> int:
     bundle = _build_model(cfg)
     spacings = spectral.unfold(bundle.spectrum.energies)
     h = _config_hash(cfg)
-    _atomic_write(
+    linalg.atomic_write(
         outdir / "spacings.csv",
         _csv_text(h, "spacings", "s,count,wigner_ref,poisson_ref",
                   spectral.histogram_rows(spacings)),
@@ -383,7 +372,7 @@ def cmd_stats(cfg: dict, outdir: Path) -> int:
         ks_poisson=ks_p,
         closer="wigner" if ks_w < ks_p else "poisson",
     )
-    _atomic_write(outdir / "stats.json", _json_text(meta))
+    linalg.atomic_write(outdir / "stats.json", _json_text(meta))
     print(f"wrote {outdir / 'stats.json'} (KS wigner {ks_w:.4f}, poisson {ks_p:.4f})")
     return 0
 
@@ -407,7 +396,7 @@ def cmd_plateau(cfg: dict, outdir: Path) -> int:
         estimate=estimate,
         ratio=stats.mean / estimate,
     )
-    _atomic_write(outdir / "plateau.json", _json_text(meta))
+    linalg.atomic_write(outdir / "plateau.json", _json_text(meta))
     print(f"wrote {outdir / 'plateau.json'} (mean {stats.mean:.4f}, estimate {estimate:.4f})")
     return 0
 
@@ -429,13 +418,13 @@ def cmd_cvp(cfg: dict, outdir: Path) -> int:
             for e in entries
         ],
     )
-    _atomic_write(outdir / "cvp.json", _json_text(meta))
+    linalg.atomic_write(outdir / "cvp.json", _json_text(meta))
     # wall times vary from run to run, so they stay out of cvp.json
     timing = {
         "config_hash": meta["config_hash"],
         "methods": [{"method": e.method, "wall_time_s": e.seconds} for e in entries],
     }
-    _atomic_write(outdir / "cvp_timing.json", _json_text(timing))
+    linalg.atomic_write(outdir / "cvp_timing.json", _json_text(timing))
     best = min(dist, key=dist.get)
     print(f"wrote {outdir / 'cvp.json'} (best {best}: {dist[best]:.6f})")
     return 0

@@ -6,6 +6,8 @@ or with a (T, D) stack of targets that the solvers handle in one pass.
 R carries the Gram-Schmidt profile: |b*_i| = R[i, i] and
 mu[i, j] = R[j, i] / R[j, j].  A general basis B = frame @ R is brought to
 this form by one QR factorization, which rotates its target by frame^T.
+LLL keeps this form without another factorization: it updates R in place
+by column operations and 2x2 reflections, and rotates the target along.
 
 The solvers form a quality ladder: naive coefficient rounding, the Babai
 nearest-plane walk, both optionally preceded by LLL reduction, a greedy
@@ -18,13 +20,13 @@ Rounding convention: ties at half-integers round away from zero.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
 
 LLL_DELTA_DEFAULT = 0.99
-LLL_REFRESH_EVERY = 64
 GREEDY_MAX_MOVES = 10_000
 ENUM_MAX_NODES = 1_000_000
 EXACT_MAX_DIM = 12  # the ladder's exact rung runs up to this dimension
@@ -47,12 +49,6 @@ def _target(target, dim: int) -> np.ndarray:
         raise ValueError(f"target shape {t.shape} does not match basis dimension {dim}")
     t.flags.writeable = False
     return t
-
-
-def _profile(r: np.ndarray):
-    """star_sq and strictly lower-triangular mu of an upper-triangular r."""
-    diag = np.diag(r)
-    return diag**2, np.tril(r.T / diag, -1)
 
 
 def triangularize(columns) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +121,8 @@ class TriangularLattice:
 
     @property
     def mu(self) -> np.ndarray:
-        return _profile(self.r)[1]
+        """Strictly lower triangular: mu[i, j] = r[j, i] / r[j, j]."""
+        return np.tril(self.r.T / np.diag(self.r), -1)
 
     def distance(self, coeffs: np.ndarray):
         """|r @ k - target|, a float for one target and one value per row
@@ -158,21 +155,26 @@ def _shear_transform(u: np.ndarray, peak: list, k: int, j: int, r: int, swaps: i
 def lll_reduce_with_transform(lattice: TriangularLattice, delta: float = LLL_DELTA_DEFAULT):
     """LLL reduction returning (reduced lattice, integer transform U).
 
-    The floating-point LLL of Schnorr and Euchner on the Gram-Schmidt data
-    of r.  The reduced basis is lattice.r @ U with U unimodular, held in
-    int64; a size-reduction step that could carry an entry of U out of
-    int64 raises ArithmeticError instead of wrapping.  The basis is
-    triangularized once at the end and its target rotated into the new
-    frame, so the distance of any k under the reduced lattice is the
-    distance of U @ k under the input.  Raises IterationCapError after
-    10 * dim**2 swaps.
+    The floating-point LLL of Schnorr and Euchner in the Householder/Givens
+    form of H-LLL (Morel, Stehle and Villard), on the triangle r alone.
+    Size reduction subtracts columns of r; a swap exchanges two columns and
+    restores the triangle with one 2x2 reflection of the same two rows,
+    which rotates the target along, so r is never re-orthogonalized.  The
+    reduced basis is lattice.r @ U with U unimodular, held in int64; a
+    size-reduction step that could carry an entry of U out of int64 raises
+    ArithmeticError instead of wrapping.  The distance of any k under the
+    reduced lattice is the distance of U @ k under the input.  Raises
+    IterationCapError after 10 * dim**2 swaps.
     """
     if not (0.25 < delta <= 1.0):
         raise ValueError(f"delta must lie in (1/4, 1], got {delta}")
     d = lattice.dim
-    b = np.array(lattice.r)
-    star, mu = _profile(lattice.r)
-    u = np.eye(d, dtype=np.int64)
+    # the targets ride along as extra columns, so each reflection rotates
+    # them too; column-major, as size reduction and swaps work on columns
+    aug = np.asfortranarray(np.column_stack([lattice.r, lattice.target.T]))
+    r = aug[:, :d]
+    diag = r.diagonal()  # a view: it follows the swaps
+    u = np.eye(d, dtype=np.int64, order="F")
     peak = [1] * d
     swap_cap = 10 * d * d
     swaps = 0
@@ -184,17 +186,18 @@ def lll_reduce_with_transform(lattice: TriangularLattice, delta: float = LLL_DEL
         # (|mu| > 0.5 would not: the float just below 0.5 rounds to 1)
         top = k
         while True:
-            levels = np.floor(np.abs(mu[k, :top]) + 0.5).nonzero()[0]
+            mu = r[:top, k] / diag[:top]
+            mag = np.floor(np.abs(mu) + 0.5)
+            levels = mag.nonzero()[0]
             if levels.size == 0:
                 break
             j = int(levels[-1])
-            r = int(round_half_away(mu[k, j]))
-            _shear_transform(u, peak, k, j, r, swaps)
-            b[:, k] -= r * b[:, j]
-            mu[k, :j] -= r * mu[j, :j]
-            mu[k, j] -= r
+            m = int(math.copysign(mag[j], mu[j]))
+            _shear_transform(u, peak, k, j, m, swaps)
+            r[: j + 1, k] -= m * r[: j + 1, j]
             top = j
-        if delta * star[k - 1] <= star[k] + mu[k, k - 1] ** 2 * star[k - 1]:
+        a, b, x = float(r[k - 1, k]), float(r[k, k]), float(diag[k - 1])
+        if delta * x * x <= a * a + b * b:
             k += 1
             continue
         swaps += 1
@@ -203,30 +206,21 @@ def lll_reduce_with_transform(lattice: TriangularLattice, delta: float = LLL_DEL
                 f"LLL exceeded {swap_cap} swaps at dimension {d} (delta={delta}); "
                 "basis may be pathological"
             )
-        for a in (b, u):
-            col = a[:, k].copy()
-            a[:, k] = a[:, k - 1]
-            a[:, k - 1] = col
+        # swap columns k-1 and k (numpy copies an overlapping source first);
+        # in r only the rows above k-1, as the reflection sets rows k-1 and k
+        for pair in (r[: k - 1, k - 1 : k + 1], u[:, k - 1 : k + 1]):
+            pair[...] = pair[:, ::-1]
         peak[k - 1], peak[k] = peak[k], peak[k - 1]
-        if swaps % LLL_REFRESH_EVERY == 0:
-            # periodic re-orthogonalization bounds floating-point drift
-            star, mu = _profile(triangularize(b)[1])
-        else:
-            nu = mu[k, k - 1]
-            big = star[k] + nu * nu * star[k - 1]
-            mu_new = nu * star[k - 1] / big
-            star[k] = star[k - 1] * star[k] / big
-            star[k - 1] = big
-            mu[k, k - 1] = mu_new
-            row = mu[k, : k - 1].copy()
-            mu[k, : k - 1] = mu[k - 1, : k - 1]
-            mu[k - 1, : k - 1] = row
-            t = mu[k + 1 :, k].copy()
-            mu[k + 1 :, k] = mu[k + 1 :, k - 1] - nu * t
-            mu[k + 1 :, k - 1] = t + mu_new * mu[k + 1 :, k]
+        # the reflection [[c, s], [s, -c]] of rows k-1 and k takes the
+        # swapped columns (a, b) and (x, 0) to (rho, 0) and (c x, s x)
+        rho = math.hypot(a, b)
+        c, s = a / rho, b / rho
+        rows = aug[k - 1 : k + 1, k + 1 :]
+        rows[...] = np.array([[c, s], [s, -c]]) @ rows
+        r[k - 1, k - 1], r[k - 1, k], r[k, k - 1], r[k, k] = rho, c * x, 0.0, s * x
         k = max(k - 1, 1)
-    frame, r = triangularize(b)
-    return TriangularLattice(r, (frame.T @ lattice.target.T).T), u
+    target = aug[:, d:].T.reshape(lattice.target.shape)
+    return TriangularLattice(np.ascontiguousarray(r), target), u
 
 
 def babai_nearest_plane(lattice: TriangularLattice) -> np.ndarray:

@@ -8,8 +8,11 @@ directly comparable.
 from __future__ import annotations
 
 import json
+import os
 import struct
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -138,9 +141,24 @@ def save_matrix(path, array: np.ndarray) -> None:
     else:
         kind, m = _KIND_FLOAT64, m.astype(np.float64)
     header = struct.pack("<4sII4x", HEADER_MAGIC, m.shape[0], kind)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.asfortranarray(m).tobytes(order="F"))
+    atomic_write(path, header, m.tobytes(order="F"))
+
+
+def atomic_write(path, *chunks) -> None:
+    """Write str or bytes chunks to path through a temporary file in the
+    same directory, renamed over path once complete: a failed write leaves
+    the earlier file, if any, as it was and no temporary file behind."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_matrix(path) -> np.ndarray:

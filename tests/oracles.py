@@ -8,7 +8,6 @@ from evolat import lattice as lattice_module
 from evolat.engine import AUDIT_TOL, TWO_PI
 from evolat.lattice import (
     LLL_DELTA_DEFAULT,
-    LLL_REFRESH_EVERY,
     IterationCapError,
     TriangularLattice,
     round_half_away,
@@ -141,6 +140,10 @@ def kstest_statistic(values, cdf) -> float:
     return float(stats.kstest(values, cdf).statistic)
 
 
+# the reference re-orthogonalizes its Gram-Schmidt data every this many swaps
+LLL_REFRESH_EVERY = 64
+
+
 def _profile(r: np.ndarray):
     diag = np.diag(r)
     return diag**2, np.tril(r.T / diag, -1)
@@ -148,9 +151,12 @@ def _profile(r: np.ndarray):
 
 def lll_reference(lattice: TriangularLattice, delta: float = LLL_DELTA_DEFAULT):
     """The plain floating-point LLL, one level and one row at a time, with
-    the transform in Python integers (object dtype, no overflow): the same
-    operations in the same order as `lll_reduce_with_transform`, so its
-    results must agree bit for bit."""
+    the transform in Python integers (object dtype, no overflow).  It keeps
+    the Gram-Schmidt coefficients mu and squared lengths star_sq as tables,
+    updates them after each swap, rebuilds them from a QR factorization every
+    LLL_REFRESH_EVERY swaps, and triangularizes the basis once at the end.
+    `lll_reduce_with_transform` makes the same decisions from r alone, so
+    its U must agree exactly; its r and target agree up to roundoff."""
     d = lattice.dim
     b = np.array(lattice.r)
     star, mu = _profile(lattice.r)

@@ -5,6 +5,7 @@ argument parsing, config resolution, and artifact writing without the
 overhead of spawning interpreters.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -354,6 +355,31 @@ def test_seed_override_changes_hash_and_output(tmp_path):
     e_base = json.load(open(out_base / "energies.json"))["energies"]
     e_over = json.load(open(out_over / "energies.json"))["energies"]
     assert e_base != e_over
+
+
+def test_seed_override_refused_for_cvp(tmp_path, cvp6):
+    cfg = {"basis": cvp6["basis"], "target": cvp6["target"]}
+    with pytest.raises(SystemExit, match="no model"):
+        run(tmp_path, "cvp", cfg, "cvp_seed", extra=("--seed", "4"))
+    assert not (tmp_path / "cvp_seed" / "cvp.json").exists()
+
+
+@pytest.mark.parametrize("preset, refused", [
+    ("resonant-truncated-bound-desk", True),
+    ("stats-truncated-desk", True),
+    ("resonant-random-bound-desk", False),
+    ("syk-free-qspec-desk", False),
+    ("biinv-plateau-desk", False),
+])
+def test_seed_override_needs_a_seeded_model(preset, refused):
+    """Only models that draw random numbers take --seed: a seed that
+    changes nothing but the config hash is refused."""
+    args = argparse.Namespace(preset=preset, config=None, seed=4)
+    if refused:
+        with pytest.raises(SystemExit, match="resonant kind 'truncated' draws no random"):
+            cli._load_config(args)
+    else:
+        assert cli._load_config(args)["model"]["seed"] == 4
 
 
 # ---------------------------------------------------------------- one BLAS library

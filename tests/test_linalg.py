@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -137,6 +139,37 @@ def test_matrix_file_header(tmp_path):
     raw = path.read_bytes()
     assert raw[:4] == b"EVLM"
     assert len(raw) == 16 + 4 * 4 * 8
+
+
+def test_save_matrix_failing_part_way_keeps_earlier_file(tmp_path, monkeypatch):
+    """A write that fails after its header, as on a full disk, leaves the
+    earlier file whole and no temporary file behind."""
+    path = tmp_path / "m.evlm"
+    save_matrix(path, np.eye(3))
+    before = path.read_bytes()
+    fdopen = os.fdopen
+
+    class FullDisk:
+        def __init__(self, fd, mode):
+            self.fh, self.chunks = fdopen(fd, mode), 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if self.chunks:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.chunks += 1
+            return self.fh.write(data)
+
+    monkeypatch.setattr(os, "fdopen", FullDisk)
+    with pytest.raises(OSError, match="No space left"):
+        save_matrix(path, 2.0 * np.eye(3))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.evlm"]
 
 
 def test_load_matrix_rejects_bad_magic(tmp_path):
