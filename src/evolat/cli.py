@@ -153,25 +153,22 @@ def _build_syk(mc: dict) -> ModelBundle:
         f"syk-{variant}-n{n}",
         spec,
         hamiltonian=h,
-        classifier=lambda k: syk.syk_locality_classifier(rep, k),
+        classifier=lambda k: syk.MonomialClassifier(rep, k),
     )
 
 
 def _build_resonant(mc: dict) -> ModelBundle:
     n, m = int(mc["n_particles"]), int(mc["total_level"])
     kind = mc["kind"]
-    if kind == "alpha":
-        scheme = resonant.coupling_alpha(float(mc.get("alpha", 1.0)))
-    elif kind == "delta":
-        scheme = resonant.coupling_delta(float(mc.get("delta_coeff", 1.0)))
-    elif kind == "random":
-        scheme = resonant.coupling_random(int(mc.get("seed", 0)))
-    elif kind == "gg":
-        scheme = resonant.coupling_gg()
-    elif kind == "truncated":
-        scheme = resonant.coupling_truncated()
-    else:
-        raise SystemExit(f"unknown resonant coupling kind {kind!r}")
+    try:
+        scheme = resonant.CouplingScheme(
+            kind,
+            alpha=float(mc.get("alpha", 1.0)) if kind == "alpha" else 0.0,
+            delta_coeff=float(mc.get("delta_coeff", 1.0)) if kind == "delta" else 0.0,
+            seed=int(mc.get("seed", 0)) if kind == "random" else None,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"resonant coupling: {exc}") from None
     block = resonant.enumerate_block(n, m)
     h = resonant.build_block_hamiltonian(block, scheme)
     spec = linalg.normalize_spectrum(linalg.eigendecompose(h))
@@ -179,7 +176,7 @@ def _build_resonant(mc: dict) -> ModelBundle:
         f"resonant-{kind}-{n}-{m}",
         spec,
         hamiltonian=h,
-        classifier=lambda k: resonant.resonant_locality_classifier(block, k),
+        classifier=lambda k: resonant.ResonantClassifier(block, k),
         extras={"block_states.csv": resonant.block_states_csv(block)},
     )
 
@@ -234,12 +231,22 @@ def _metric_for(cfg: dict, bundle: ModelBundle) -> engine.ComplexityMetric:
 
 
 def _times(cfg: dict) -> np.ndarray:
+    """The time grid, checked before any model is built."""
     tc = cfg.get("times")
     if tc is None:
         raise SystemExit("config needs a times object (start/stop/count or grid)")
     if "grid" in tc:
-        return np.asarray(tc["grid"], dtype=float)
-    return np.linspace(float(tc["start"]), float(tc["stop"]), int(tc["count"]))
+        times = np.asarray(tc["grid"], dtype=float)
+    else:
+        count = int(tc["count"])
+        if count < 1:
+            raise SystemExit(f"times: count must be at least 1, got {count}")
+        times = np.linspace(float(tc["start"]), float(tc["stop"]), count)
+    if times.ndim != 1 or times.size == 0:
+        raise SystemExit(f"times: the grid must be a non-empty list, got shape {times.shape}")
+    if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0.0):
+        raise SystemExit("times: the grid must be finite and strictly increasing")
+    return times
 
 
 def _load_config(args) -> dict:
@@ -298,8 +305,7 @@ def cmd_gen(cfg: dict, outdir: Path) -> int:
     return 0
 
 
-def _run_sweep(cfg: dict, bundle: ModelBundle):
-    times = _times(cfg)
+def _run_sweep(cfg: dict, bundle: ModelBundle, times: np.ndarray):
     chain = cfg.get("chain", engine.DEFAULT_CHAIN)
     if chain == "biinvariant":
         return engine.bi_invariant_trace(bundle.spectrum.energies, times), None
@@ -309,8 +315,9 @@ def _run_sweep(cfg: dict, bundle: ModelBundle):
 
 
 def cmd_bound(cfg: dict, outdir: Path) -> int:
+    times = _times(cfg)
     bundle = _build_model(cfg)
-    trace, pipeline = _run_sweep(cfg, bundle)
+    trace, pipeline = _run_sweep(cfg, bundle, times)
     h = _config_hash(cfg)
     rows = [
         f"{_fmt(t)},{_fmt(v)},{trace.method}"
@@ -378,8 +385,9 @@ def cmd_stats(cfg: dict, outdir: Path) -> int:
 
 
 def cmd_plateau(cfg: dict, outdir: Path) -> int:
+    times = _times(cfg)
     bundle = _build_model(cfg)
-    trace, pipeline = _run_sweep(cfg, bundle)
+    trace, pipeline = _run_sweep(cfg, bundle, times)
     window = tuple(cfg.get("window", (trace.times[0], trace.times[-1])))
     stats = engine.plateau_stats(trace, window)
     if pipeline is not None:

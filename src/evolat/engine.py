@@ -201,11 +201,6 @@ class ComplexityMetric:
         return g
 
 
-def su_metric(q: NonlocalityMatrix, mu: float) -> ComplexityMetric:
-    """Metric with the special-unitary restriction, nu = SU_NU_FACTOR * mu."""
-    return ComplexityMetric(mu=mu, nu=SU_NU_FACTOR * mu, q=q)
-
-
 def complexity_ceiling(mu: float, dim: int) -> float:
     """No optimized bound exceeds pi * sqrt(mu * dim)."""
     return float(np.pi * np.sqrt(mu * dim))

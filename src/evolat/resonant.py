@@ -162,26 +162,6 @@ class CouplingScheme:
         return np.zeros(block.dim)
 
 
-def coupling_gg() -> CouplingScheme:
-    return CouplingScheme("gg")
-
-
-def coupling_truncated() -> CouplingScheme:
-    return CouplingScheme("truncated")
-
-
-def coupling_alpha(alpha: float) -> CouplingScheme:
-    return CouplingScheme("alpha", alpha=alpha)
-
-
-def coupling_delta(delta_coeff: float) -> CouplingScheme:
-    return CouplingScheme("delta", delta_coeff=delta_coeff)
-
-
-def coupling_random(seed: int) -> CouplingScheme:
-    return CouplingScheme("random", seed=seed)
-
-
 def build_block_hamiltonian(block: FockBlock, scheme: CouplingScheme) -> HermitianMatrix:
     """Block matrix of H in the occupation basis.
 
@@ -223,51 +203,27 @@ def build_block_hamiltonian(block: FockBlock, scheme: CouplingScheme) -> Hermiti
     return HermitianMatrix(h)
 
 
+class _MinCharge:
+    """The scheme behind min_coupling_operator: C_nmkl = min(n, m, k, l) and
+    half of the diagonal sum of k^2 eta_k."""
+
+    @staticmethod
+    def quartic(n: int, m: int, k: int, l: int, max_level: int) -> float:
+        return float(min(n, m, k, l))
+
+    @staticmethod
+    def diagonal_shift(block: FockBlock) -> np.ndarray:
+        return 0.5 * (block.occupations() @ np.arange(block.total_level + 1) ** 2)
+
+
 def min_coupling_operator(block: FockBlock) -> HermitianMatrix:
     """Quartic operator with couplings min(n, m, k, l) over nonzero modes,
-    plus the diagonal sum of k^2 eta_k.
+    plus the diagonal sum of k^2 eta_k: twice the Hamiltonian of _MinCharge.
 
     Commutes with the gg, truncated, alpha and delta Hamiltonians on every
     block and has an integer spectrum; a generic random scheme breaks it.
     """
-    m_lvl = block.total_level
-    d = block.dim
-    h = np.zeros((d, d))
-    for b_idx, occ in enumerate(block.states):
-        for s in range(2, m_lvl + 1):
-            for l in range(1, s):
-                k = s - l
-                if k < 1:
-                    continue
-                for n in range(1, s):
-                    m = s - n
-                    if m < 1:
-                        continue
-                    work = list(occ)
-                    if work[l] == 0:
-                        continue
-                    f = np.sqrt(work[l])
-                    work[l] -= 1
-                    if work[k] == 0:
-                        continue
-                    f *= np.sqrt(work[k])
-                    work[k] -= 1
-                    f *= np.sqrt(work[m] + 1.0)
-                    work[m] += 1
-                    f *= np.sqrt(work[n] + 1.0)
-                    work[n] += 1
-                    h[block.state_index(work), b_idx] += min(n, m, k, l) * f
-        h[b_idx, b_idx] += sum(kk * kk * occ[kk] for kk in range(1, m_lvl + 1))
-    return HermitianMatrix(h)
-
-
-def resonant_locality(occ_a, occ_b) -> int:
-    """Particles that must be moved to turn state a into state b."""
-    a = np.asarray(occ_a, dtype=np.int64)
-    b = np.asarray(occ_b, dtype=np.int64)
-    if a.shape != b.shape:
-        raise ValueError("occupation vectors must have equal length")
-    return int(np.maximum(b - a, 0).sum())
+    return HermitianMatrix(2.0 * build_block_hamiltonian(block, _MinCharge).entries)
 
 
 def locality_table(block: FockBlock) -> np.ndarray:
@@ -301,22 +257,14 @@ class ResonantClassifier:
         if self.threshold < 0:
             raise ValueError("threshold must be non-negative")
 
-    def _local_mask(self) -> np.ndarray:
-        local = locality_table(self.block) <= self.threshold
-        if not np.array_equal(local, local.T):
-            raise ValueError("locality table is not symmetric; the a<->b fold needs it")
-        return local
-
-    def local_pairs(self) -> np.ndarray:
-        """Ordered pairs (a, b), one per generator |a><b|."""
-        a, b = np.nonzero(self._local_mask())
-        return np.stack([a, b], axis=1)
-
     def local_diagonals(self, spectrum: Spectrum) -> Iterator[np.ndarray]:
         if spectrum.dim != self.block.dim:
             raise ValueError("spectrum dimension does not match block")
+        local = locality_table(self.block) <= self.threshold
+        if not np.array_equal(local, local.T):
+            raise ValueError("locality table is not symmetric; the a<->b fold needs it")
         v = spectrum.vectors
-        a, b = np.nonzero(np.triu(self._local_mask()))  # a <= b
+        a, b = np.nonzero(np.triu(local))  # a <= b
         scale = np.where(a == b, 1.0, np.sqrt(2.0))[:, None]
         # a block of rows lives next to one gathered copy of the same size
         rows = block_rows(v.shape[1], 2 * v.itemsize)
@@ -332,10 +280,6 @@ class ResonantClassifier:
             else:
                 prod *= scale[sl]
                 yield prod
-
-
-def resonant_locality_classifier(block: FockBlock, threshold: int) -> ResonantClassifier:
-    return ResonantClassifier(block, threshold)
 
 
 def block_states_csv(block: FockBlock) -> str:

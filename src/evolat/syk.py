@@ -132,47 +132,28 @@ def antisymmetric_canonical_form(j2: np.ndarray):
     scale = max(np.abs(j).max(), 1.0)
     if np.abs(j + j.T).max() > 1e-12 * scale:
         raise ValueError("matrix must be antisymmetric")
-    # imported on first use: scipy loads a second OpenBLAS, and only this Schur needs it
-    import scipy.linalg
-
-    t, z = scipy.linalg.schur(j, output="real")
-    tol = 1e-10 * scale
-    pairs = []
-    singles = []
-    i = 0
-    while i < n:
-        if i + 1 < n and abs(t[i, i + 1]) > tol:
-            w = t[i, i + 1]
-            if w >= 0:
-                pairs.append((w, z[:, i].copy(), z[:, i + 1].copy()))
-            else:
-                pairs.append((-w, z[:, i + 1].copy(), z[:, i].copy()))
-            i += 2
-        else:
-            singles.append(z[:, i].copy())
-            i += 1
-    for a, b in zip(singles[0::2], singles[1::2]):
-        pairs.append((0.0, a, b))
-    pairs.sort(key=lambda p: -p[0])
-    omegas = np.array([p[0] for p in pairs])
+    # iJ is Hermitian: an eigenvector x + iy at w > 0 has J x = w y, J y = -w x,
+    # and is orthogonal to its conjugate at -w, so |x| = |y| = 1/sqrt(2), x . y = 0
+    w, u = np.linalg.eigh(1j * j)
+    pos = int(np.count_nonzero(w > 1e-10 * scale))
+    top = np.arange(n - 1, n - 1 - pos, -1)  # the positive eigenvalues, descending
     v = np.empty((n, n))
-    for p, (_, a, b) in enumerate(pairs):
-        v[:, 2 * p] = a
-        v[:, 2 * p + 1] = b
+    v[:, 0 : 2 * pos : 2] = np.sqrt(2.0) * u[:, top].imag
+    v[:, 1 : 2 * pos : 2] = np.sqrt(2.0) * u[:, top].real
+    null = u[:, pos : n - pos]  # J's null space is the real span of their parts
+    if null.size:
+        basis = np.linalg.svd(np.hstack([null.real, null.imag]), full_matrices=False)[0]
+        v[:, 2 * pos :] = basis[:, : n - 2 * pos]
+    omegas = np.concatenate([w[top], np.zeros(n // 2 - pos)])
     if np.abs(v @ v.T - np.eye(n)).max() > 1e-10:
         raise ArithmeticError("canonical rotation lost orthogonality")
     d = np.zeros((n, n))
-    for p, w in enumerate(omegas):
-        d[2 * p, 2 * p + 1] = w
-        d[2 * p + 1, 2 * p] = -w
+    even = np.arange(0, n, 2)
+    d[even, even + 1] = omegas
+    d[even + 1, even] = -omegas
     if np.abs(v @ d @ v.T - j).max() > 1e-10 * scale:
         raise ArithmeticError("canonical form failed to reconstruct input")
     return omegas, v
-
-
-def extract_omegas(j2: np.ndarray) -> np.ndarray:
-    """Positive block coefficients of the canonical form, descending."""
-    return antisymmetric_canonical_form(j2)[0]
 
 
 def _charge_couplings(rep: CliffordRep, frame: np.ndarray | None) -> list:
@@ -185,11 +166,6 @@ def _charge_couplings(rep: CliffordRep, frame: np.ndarray | None) -> list:
         raise ValueError("frame must be an n x n orthogonal matrix")
     return [np.outer(v[:, 2 * p], v[:, 2 * p + 1]) - np.outer(v[:, 2 * p + 1], v[:, 2 * p])
             for p in range(n // 2)]
-
-
-def charge_operators(rep: CliffordRep, frame: np.ndarray | None = None) -> list:
-    """J3_p = 2i Psi_{2p-1} Psi_{2p}: commuting charges squaring to one."""
-    return [free_syk(rep, jp).entries for jp in _charge_couplings(rep, frame)]
 
 
 def integrable_syk(
@@ -281,36 +257,22 @@ def monomial_strings(rep: CliffordRep, modes: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class MonomialClassifier:
-    """Local operators = Majorana monomials of weight <= threshold.
+    """Local operators = Majorana monomials of weight 1 to threshold.
 
-    The identity (weight 0) is excluded by default, matching the restriction
-    of the evolution to the special-unitary group; set include_identity to
-    lift that.
+    The identity (weight 0) is excluded, matching the restriction of the
+    evolution to the special-unitary group.
     """
 
     rep: CliffordRep
     threshold: int
-    include_identity: bool = False
 
     def __post_init__(self):
         if not (1 <= self.threshold <= self.rep.n_modes):
             raise ValueError(f"threshold must be in [1, {self.rep.n_modes}]")
 
-    def _strings(self):
-        """Index tuples and (x, z, c) strings of the local monomials, by x mask."""
-        start = 0 if self.include_identity else 1
-        modes = [_combinations(self.rep.n_modes, w) for w in range(start, self.threshold + 1)]
-        x, z, c = map(np.concatenate, zip(*(monomial_strings(self.rep, m) for m in modes)))
-        order = np.argsort(x, kind="stable")
-        subsets = [tuple(r) for m in modes for r in m.tolist()]
-        return [subsets[i] for i in order], x[order], z[order], c[order]
-
-    def local_subsets(self) -> list:
-        """Index tuples of the local monomials, in the order of their rows."""
-        return self._strings()[0]
-
     def local_diagonals(self, spectrum: Spectrum) -> Iterator[np.ndarray]:
-        """Real blocks of monomial diagonals <n|T|n>, one row per monomial.
+        """Real blocks of monomial diagonals <n|T|n>, one row per monomial:
+        by x mask ascending, then by weight and itertools.combinations order.
 
         T = c X^x Z^z gives <n|T|n> = c sum_j (-1)^popcount(z & j) A_x[j, n],
         A_x[j, n] = conj(v[j ^ x, n]) v[j, n], so the rows of the monomials
@@ -319,7 +281,8 @@ class MonomialClassifier:
         """
         if spectrum.dim != self.rep.dim:
             raise ValueError("spectrum dimension does not match representation")
-        _, x, z, c = self._strings()
+        modes = [_combinations(self.rep.n_modes, w) for w in range(1, self.threshold + 1)]
+        x, z, c = map(np.concatenate, zip(*(monomial_strings(self.rep, m) for m in modes)))
         d, v, j = spectrum.dim, spectrum.vectors, np.arange(spectrum.dim)
         rows = block_rows(d, 64)  # block, signs, complex rows, real rows
         block, fill = None, 0
@@ -341,9 +304,3 @@ class MonomialClassifier:
                     block, fill = None, 0
         if fill:
             yield block[:fill]
-
-
-def syk_locality_classifier(
-    rep: CliffordRep, threshold: int, include_identity: bool = False
-) -> MonomialClassifier:
-    return MonomialClassifier(rep, threshold, include_identity)

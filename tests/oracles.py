@@ -1,6 +1,8 @@
 """Slow reference implementations that the tests check the package against."""
 
+import functools
 import itertools
+import operator
 
 import numpy as np
 
@@ -14,7 +16,7 @@ from evolat.lattice import (
     triangularize,
 )
 from evolat.linalg import HermitianMatrix
-from evolat.resonant import CouplingScheme, FockBlock
+from evolat.resonant import CouplingScheme, FockBlock, locality_table
 
 BOX_MAX_DIM = 12
 
@@ -232,6 +234,30 @@ def build_block_hamiltonian_oracle(
             h[block.state_index(work), b_idx] += 0.5 * c * f
     h += np.diag(scheme.diagonal_shift(block))
     return HermitianMatrix(h)
+
+
+def resonant_locality(occ_a, occ_b) -> int:
+    """Particles that must be moved to turn state a into state b."""
+    a = np.asarray(occ_a, dtype=np.int64)
+    b = np.asarray(occ_b, dtype=np.int64)
+    if a.shape != b.shape:
+        raise ValueError("occupation vectors must have equal length")
+    return int(np.maximum(b - a, 0).sum())
+
+
+def local_pairs(block: FockBlock, threshold: int) -> np.ndarray:
+    """Ordered state pairs (a, b), one per local generator |a><b|."""
+    a, b = np.nonzero(locality_table(block) <= threshold)
+    return np.stack([a, b], axis=1)
+
+
+def local_subsets(rep, threshold: int) -> list:
+    """Index tuples of the monomials of weight 1 to threshold, in the order of
+    MonomialClassifier's rows: by x mask (the XOR of the modes' masks), and
+    within one mask by weight, then in itertools.combinations order."""
+    subsets = [s for w in range(1, threshold + 1)
+               for s in itertools.combinations(range(rep.n_modes), w)]
+    return sorted(subsets, key=lambda s: functools.reduce(operator.xor, (int(rep.x[i]) for i in s)))
 
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)

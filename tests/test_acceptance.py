@@ -72,13 +72,8 @@ def goe_energies(dim: int, seed: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def resonant_model(n: int, m: int, kind: str, seed):
     block = resonant.enumerate_block(n, m)
-    scheme = {
-        "gg": resonant.coupling_gg,
-        "truncated": resonant.coupling_truncated,
-        "alpha": lambda: resonant.coupling_alpha(1.0),
-        "delta": lambda: resonant.coupling_delta(0.5),
-        "random": lambda: resonant.coupling_random(seed),
-    }[kind]()
+    options = {"alpha": {"alpha": 1.0}, "delta": {"delta_coeff": 0.5}, "random": {"seed": seed}}
+    scheme = resonant.CouplingScheme(kind, **options.get(kind, {}))
     h = resonant.build_block_hamiltonian(block, scheme)
     return block, h, linalg.normalize_spectrum(linalg.eigendecompose(h))
 
@@ -120,7 +115,7 @@ def resonant_run(n: int, m: int, kind: str, seed, k: int):
     """Late-window plateau mean, lattice estimate, trace max, and ceiling for
     one resonant block at cost factor mu = D."""
     block, _, spec = resonant_model(n, m, kind, seed)
-    q = engine.nonlocality_matrix(spec, resonant.resonant_locality_classifier(block, k))
+    q = engine.nonlocality_matrix(spec, resonant.ResonantClassifier(block, k))
     mu = float(spec.dim)
     pipe = engine.ComplexityPipeline(spec.energies, engine.ComplexityMetric(mu=mu, q=q))
     trace = pipe.sweep(TIMES_LATE)
@@ -167,10 +162,10 @@ def test_02_early_linear_growth_and_departure():
     battery.append((e120, featureless_projector(e120)))
     block, _, spec = resonant_model(10, 10, "truncated", None)
     battery.append((spec.energies, engine.nonlocality_matrix(
-        spec, resonant.resonant_locality_classifier(block, 4))))
+        spec, resonant.ResonantClassifier(block, 4))))
     rep, _, sfree = syk_model("free", 8, 3)
     battery.append((sfree.energies, engine.nonlocality_matrix(
-        sfree, syk.syk_locality_classifier(rep, 2))))
+        sfree, syk.MonomialClassifier(rep, 2))))
 
     worst_early = 0.0
     departures_ok = True
@@ -208,13 +203,14 @@ def test_03_ceiling_never_exceeded():
         _, _, trace_max, ceiling = resonant_run(*key)
         margins.append(ceiling - trace_max)
     block, _, spec = resonant_model(8, 8, "truncated", None)
-    q = engine.nonlocality_matrix(spec, resonant.resonant_locality_classifier(block, 2))
-    su = engine.su_metric(q, float(spec.dim))
+    q = engine.nonlocality_matrix(spec, resonant.ResonantClassifier(block, 2))
+    mu = float(spec.dim)
+    su = engine.ComplexityMetric(mu, engine.SU_NU_FACTOR * mu, q)
     trace = engine.ComplexityPipeline(spec.energies, su).sweep(TIMES_LATE)
     margins.append(engine.complexity_ceiling(float(spec.dim), spec.dim)
                    - float(trace.values.max()))
     rep, _, sfree = syk_model("free", 8, 3)
-    qf = engine.nonlocality_matrix(sfree, syk.syk_locality_classifier(rep, 2))
+    qf = engine.nonlocality_matrix(sfree, syk.MonomialClassifier(rep, 2))
     trace = engine.ComplexityPipeline(
         sfree.energies, engine.ComplexityMetric(mu=16.0, q=qf)
     ).sweep(np.linspace(1.0, 4000.0, 60))
@@ -306,13 +302,13 @@ def test_07_nonlocality_matrix_laws():
     ):
         rep, _, spec = syk_model(variant, n, seed)
         entries.append((f"{variant}-{n}", spec.energies, engine.nonlocality_matrix(
-            spec, syk.syk_locality_classifier(rep, k))))
+            spec, syk.MonomialClassifier(rep, k))))
     for n in (8, 12):
         for kind, seed in (("gg", None), ("truncated", None), ("alpha", None),
                            ("delta", None), ("random", 3)):
             block, _, spec = resonant_model(n, n, kind, seed)
             entries.append((f"{kind}-{n}", spec.energies, engine.nonlocality_matrix(
-                spec, resonant.resonant_locality_classifier(block, 2))))
+                spec, resonant.ResonantClassifier(block, 2))))
     worst_resid = worst_sym = 0.0
     eig_ok = True
     for _, energies, q in entries:
@@ -333,7 +329,7 @@ def test_08_commuting_charge_spectrum_is_binary():
     worst_dev = 0.0
     counts = []
     for k in (2, 4):
-        q = engine.nonlocality_matrix(spec, syk.syk_locality_classifier(rep, k))
+        q = engine.nonlocality_matrix(spec, syk.MonomialClassifier(rep, k))
         dev = np.minimum(np.abs(q.eigenvalues), np.abs(q.eigenvalues - 1.0)).max()
         worst_dev = max(worst_dev, float(dev))
         counts.append(int(np.sum(q.eigenvalues < 0.5)))
@@ -352,7 +348,7 @@ def test_09_quadratic_spectrum_is_sign_sums():
     rep = syk.build_clifford(12)
     j2 = syk.sample_quadratic_couplings(12, rng)
     h = syk.free_syk(rep, j2)
-    omegas = syk.extract_omegas(j2)
+    omegas = syk.antisymmetric_canonical_form(j2)[0]
     expect = np.sort([
         sum(s * w for s, w in zip(signs, omegas))
         for signs in itertools.product((-1.0, 1.0), repeat=6)
@@ -470,7 +466,7 @@ def test_16_solver_ladder_tightens_plateau():
     mc = fx["model"]
     block, _, spec = resonant_model(mc["n_particles"], mc["total_level"], mc["kind"], None)
     q = engine.nonlocality_matrix(
-        spec, resonant.resonant_locality_classifier(block, fx["threshold"]))
+        spec, resonant.ResonantClassifier(block, fx["threshold"]))
     metric = engine.ComplexityMetric(mu=float(spec.dim), q=q)
     ts = np.linspace(fx["times"]["start"], fx["times"]["stop"], fx["times"]["count"])
     means = []

@@ -60,6 +60,34 @@ def test_unknown_model_family(tmp_path):
         run(tmp_path, "gen", {"model": {"family": "ising", "dim": 4}}, "bad")
 
 
+@pytest.mark.parametrize("model", [
+    {"family": "resonant", "kind": "cubic", "n_particles": 3, "total_level": 3},
+    {"family": "syk", "variant": "quartic", "n_modes": 4},
+], ids=["resonant-kind", "syk-variant"])
+def test_unknown_model_kind_is_named(tmp_path, model):
+    bad = model.get("kind", model.get("variant"))
+    with pytest.raises(SystemExit, match=f"'{bad}'"):
+        run(tmp_path, "gen", {"model": model}, "bad")
+
+
+@pytest.mark.parametrize("command", ["bound", "plateau"])
+@pytest.mark.parametrize("times", [
+    {"start": 1.0, "stop": 2.0, "count": 0},
+    {"start": 1.0, "stop": 2.0, "count": -1},
+    {"grid": []},
+    {"grid": [[1.0, 2.0], [3.0, 4.0]]},
+    {"grid": [1.0, 1.0, 2.0]},
+    {"grid": [3.0, 2.0]},
+], ids=["count-0", "count-negative", "empty", "2-d", "repeated", "decreasing"])
+def test_bad_time_grid_refused_before_the_model(tmp_path, monkeypatch, command, times):
+    def refuse(cfg):
+        raise AssertionError("the model was built before the time grid was checked")
+
+    monkeypatch.setattr(cli, "_build_model", refuse)
+    with pytest.raises(SystemExit, match="times"):
+        run(tmp_path, command, dict(SYNTH_TRACE, times=times), "bad_times")
+
+
 def test_presets_name_real_models():
     for name, cfg in PRESETS.items():
         assert cfg["model"]["family"] in ("syk", "resonant", "synthetic"), name
@@ -198,7 +226,7 @@ def test_su_config_matches_su_metric(mu):
     }
     bundle = cli._build_model(cfg)
     metric = cli._metric_for(cfg, bundle)
-    assert metric.nu == engine.su_metric(metric.q, metric.mu).nu > 0.0
+    assert metric.nu == engine.SU_NU_FACTOR * metric.mu > 0.0
 
 
 def test_unit_cost_skips_the_nonlocality_matrix(tmp_path, monkeypatch):
@@ -407,6 +435,10 @@ ONE_BLAS_RUNS = {
     "import": None,
     "qspec-syk-chaotic4": ("qspec", {
         "model": {"family": "syk", "variant": "chaotic4", "n_modes": 10, "seed": 3},
+        "threshold": 4,
+    }),
+    "qspec-syk-integrable": ("qspec", {
+        "model": {"family": "syk", "variant": "integrable", "n_modes": 10, "seed": 3},
         "threshold": 4,
     }),
     "bound-resonant-mu-dim": ("bound", {

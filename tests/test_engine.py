@@ -17,7 +17,6 @@ from evolat.engine import (
     local_conservation_laws,
     nonlocality_matrix,
     plateau_stats,
-    su_metric,
 )
 from evolat.linalg import HermitianMatrix, Spectrum, eigendecompose, normalize_energies
 from oracles import bound_at
@@ -106,13 +105,6 @@ def test_metric_matrix_formula():
     m = ComplexityMetric(mu=mu, nu=nu, q=q).matrix(4)
     expect = np.eye(4) + (mu - 1.0) * q.entries + nu * np.ones((4, 4))
     assert np.abs(m - expect).max() < 1e-12
-
-
-def test_su_metric_default_nu():
-    e = np.array([-0.5, -0.1, 0.2, 0.4])
-    m = su_metric(projector_q(e), mu=6.0)
-    assert m.nu == pytest.approx(6000.0) == SU_NU_FACTOR * 6.0
-    assert m.mu == 6.0
 
 
 def test_embedding_map_squares_to_metric():
@@ -224,7 +216,7 @@ def test_pipeline_naive_chain_rounds_windings():
 def test_pipeline_su_restriction_traceless_minimizer():
     rng = np.random.default_rng(41)
     e = random_normalized(rng, 20)
-    pipe = ComplexityPipeline(e, su_metric(projector_q(e), mu=20.0))
+    pipe = ComplexityPipeline(e, ComplexityMetric(20.0, SU_NU_FACTOR * 20.0, projector_q(e)))
     for k in pipe.sweep(np.sort(rng.uniform(10.0, 5000.0, size=8))).minimizers:
         assert int(k.sum()) == 0
 
@@ -246,9 +238,9 @@ CHAINS = ["naive", "babai", "babai+greedy", "lll+babai", "lll+babai+greedy"]
 def resonant_metric(n: int):
     """The truncated (n, n) block at threshold 4 and mu = D."""
     block = resonant.enumerate_block(n, n)
-    h = resonant.build_block_hamiltonian(block, resonant.coupling_truncated())
+    h = resonant.build_block_hamiltonian(block, resonant.CouplingScheme("truncated"))
     spec = linalg.normalize_spectrum(linalg.eigendecompose(h))
-    q = nonlocality_matrix(spec, resonant.resonant_locality_classifier(block, 4))
+    q = nonlocality_matrix(spec, resonant.ResonantClassifier(block, 4))
     return spec.energies, ComplexityMetric(mu=float(spec.dim), q=q)
 
 
@@ -276,7 +268,8 @@ def test_sweep_matches_per_time_reference_su_and_unit_cost(chain):
     rng = np.random.default_rng(59)
     e = random_normalized(rng, 20)
     times = np.sort(rng.uniform(10.0, 5000.0, size=15))
-    for metric in (su_metric(projector_q(e), mu=20.0), ComplexityMetric()):
+    su = ComplexityMetric(20.0, SU_NU_FACTOR * 20.0, projector_q(e))
+    for metric in (su, ComplexityMetric()):
         assert_sweep_matches_reference(ComplexityPipeline(e, metric, chain), times)
 
 

@@ -149,9 +149,9 @@ def resonant_lattice():
     """The Cholesky lattice of the truncated (12,12) block, threshold 4,
     mu = D = 77."""
     block = resonant.enumerate_block(12, 12)
-    h = resonant.build_block_hamiltonian(block, resonant.coupling_truncated())
+    h = resonant.build_block_hamiltonian(block, resonant.CouplingScheme("truncated"))
     spec = linalg.normalize_spectrum(linalg.eigendecompose(h))
-    q = engine.nonlocality_matrix(spec, resonant.resonant_locality_classifier(block, 4))
+    q = engine.nonlocality_matrix(spec, resonant.ResonantClassifier(block, 4))
     metric = engine.ComplexityMetric(mu=float(spec.dim), q=q)
     pipe = engine.ComplexityPipeline(spec.energies, metric, chain="babai")
     assert pipe.lattice.dim == 77

@@ -14,14 +14,14 @@ import pytest
 from evolat import engine, linalg, resonant, syk
 from evolat.engine import Q_BLOCK_BYTES, nonlocality_matrix
 
-from oracles import dense_majoranas, dense_monomial
+from oracles import dense_majoranas, dense_monomial, local_pairs, local_subsets
 
 SCHEMES = {
-    "gg": resonant.coupling_gg,
-    "truncated": resonant.coupling_truncated,
-    "alpha": lambda: resonant.coupling_alpha(1.0),
-    "delta": lambda: resonant.coupling_delta(0.5),
-    "random": lambda: resonant.coupling_random(3),
+    "gg": resonant.CouplingScheme("gg"),
+    "truncated": resonant.CouplingScheme("truncated"),
+    "alpha": resonant.CouplingScheme("alpha", alpha=1.0),
+    "delta": resonant.CouplingScheme("delta", delta_coeff=0.5),
+    "random": resonant.CouplingScheme("random", seed=3),
 }
 
 
@@ -32,13 +32,13 @@ def dense_q(rows: np.ndarray) -> np.ndarray:
 
 def dense_resonant_q(cls: resonant.ResonantClassifier, spec: linalg.Spectrum) -> np.ndarray:
     v = spec.vectors.astype(np.complex128)
-    pairs = cls.local_pairs()
+    pairs = local_pairs(cls.block, cls.threshold)
     return dense_q(v[pairs[:, 0], :].conj() * v[pairs[:, 1], :])
 
 
 def resonant_spectrum(n: int, kind: str):
     block = resonant.enumerate_block(n, n)
-    h = resonant.build_block_hamiltonian(block, SCHEMES[kind]())
+    h = resonant.build_block_hamiltonian(block, SCHEMES[kind])
     return block, linalg.normalize_spectrum(linalg.eigendecompose(h))
 
 
@@ -48,7 +48,7 @@ def test_resonant_stream_matches_dense_formula(n, kind):
     block, spec = resonant_spectrum(n, kind)
     assert spec.vectors.dtype == np.float64
     for threshold in (0, 2, 4):
-        cls = resonant.resonant_locality_classifier(block, threshold)
+        cls = resonant.ResonantClassifier(block, threshold)
         q = nonlocality_matrix(spec, cls)
         assert np.array_equal(q.entries, q.entries.T)
         assert np.abs(q.entries - dense_resonant_q(cls, spec)).max() < 1e-12
@@ -62,7 +62,7 @@ def test_resonant_stream_with_complex_eigenvectors():
     cspec = linalg.Spectrum(spec.energies, spec.vectors * phases)
     assert cspec.vectors.dtype == np.complex128
     for threshold in (0, 2, 4):
-        cls = resonant.resonant_locality_classifier(block, threshold)
+        cls = resonant.ResonantClassifier(block, threshold)
         q = nonlocality_matrix(cspec, cls)
         assert np.array_equal(q.entries, q.entries.T)
         assert np.abs(q.entries - dense_resonant_q(cls, cspec)).max() < 1e-12
@@ -72,7 +72,7 @@ def test_resonant_stream_with_complex_eigenvectors():
 def test_resonant_blocks_respect_the_budget(monkeypatch):
     """A small budget splits the rows over many blocks without changing Q."""
     block, spec = resonant_spectrum(10, "truncated")
-    cls = resonant.resonant_locality_classifier(block, 4)
+    cls = resonant.ResonantClassifier(block, 4)
     whole = nonlocality_matrix(spec, cls)
     monkeypatch.setattr(engine, "Q_BLOCK_BYTES", 16 * spec.dim * 8)
     blocks = list(cls.local_diagonals(spec))
@@ -86,7 +86,7 @@ def test_small_blocks_are_staged_without_changing_q(monkeypatch):
     """Blocks under dim // 2 rows are copied, in order, into batches of
     dim // 2 rows before each Gram product; Q moves by roundoff only."""
     block, spec = resonant_spectrum(10, "truncated")
-    cls = resonant.resonant_locality_classifier(block, 4)
+    cls = resonant.ResonantClassifier(block, 4)
     d = spec.dim
     whole = nonlocality_matrix(spec, cls)
     assert min(z.shape[0] for z in cls.local_diagonals(spec)) >= d // 2  # unstaged
@@ -118,7 +118,7 @@ def test_resonant_block_working_set(monkeypatch):
     block, spec = resonant_spectrum(12, "truncated")
     budget = 64 * 1024
     monkeypatch.setattr(engine, "Q_BLOCK_BYTES", budget)
-    blocks = resonant.resonant_locality_classifier(block, 4).local_diagonals(spec)
+    blocks = resonant.ResonantClassifier(block, 4).local_diagonals(spec)
     next(blocks)
 
     def consume():
@@ -165,7 +165,7 @@ def test_syk_stream_matches_dense_formula(variant, threshold):
     else:
         h = syk.chaotic_syk(rep, j2, syk.sample_many_body_couplings(8, 3, rng), 1.0, body=3)
     spec = linalg.normalize_spectrum(linalg.eigendecompose(h))
-    cls = syk.syk_locality_classifier(rep, threshold)
+    cls = syk.MonomialClassifier(rep, threshold)
     q = nonlocality_matrix(spec, cls)
     assert np.array_equal(q.entries, q.entries.T)
     assert np.abs(q.entries - dense_syk_q(cls, spec)).max() < 1e-12
@@ -176,7 +176,7 @@ def dense_syk_q(cls: syk.MonomialClassifier, spec: linalg.Spectrum) -> np.ndarra
     psis = dense_majoranas(cls.rep.n_modes)
     v = spec.vectors
     return dense_q([np.einsum("in,in->n", v.conj(), dense_monomial(psis, s) @ v)
-                    for s in cls.local_subsets()])
+                    for s in local_subsets(cls.rep, cls.threshold)])
 
 
 def chaotic4_spectrum(n: int) -> tuple:
@@ -191,7 +191,7 @@ def chaotic4_spectrum(n: int) -> tuple:
 def test_syk_pauli_stream_matches_dense_products(n):
     rep, spec = chaotic4_spectrum(n)
     for threshold in (2, 3, 4):
-        cls = syk.syk_locality_classifier(rep, threshold)
+        cls = syk.MonomialClassifier(rep, threshold)
         q = nonlocality_matrix(spec, cls)
         assert np.array_equal(q.entries, q.entries.T)
         assert np.abs(q.entries - dense_syk_q(cls, spec)).max() < 1e-12
@@ -200,12 +200,12 @@ def test_syk_pauli_stream_matches_dense_products(n):
 def test_syk_blocks_respect_the_budget(monkeypatch):
     """Row blocks stay within block_rows at any budget; Q does not change."""
     rep, spec = chaotic4_spectrum(10)
-    cls = syk.syk_locality_classifier(rep, 4)
+    cls = syk.MonomialClassifier(rep, 4)
     whole = nonlocality_matrix(spec, cls)
     monkeypatch.setattr(engine, "Q_BLOCK_BYTES", 7 * spec.dim * 64)
     blocks = list(cls.local_diagonals(spec))
     assert max(z.shape[0] for z in blocks) == 7
-    assert sum(z.shape[0] for z in blocks) == len(cls.local_subsets())
+    assert sum(z.shape[0] for z in blocks) == len(local_subsets(rep, 4))
     assert np.abs(nonlocality_matrix(spec, cls).entries - whole.entries).max() < 1e-12
 
 
@@ -216,7 +216,7 @@ def test_syk_q_memory_is_one_block_plus_dense_arrays(monkeypatch):
     matrix and one shared A_x); building each monomial as a dense matrix
     took 4.5."""
     rep, spec = chaotic4_spectrum(16)
-    cls = syk.syk_locality_classifier(rep, 4)
+    cls = syk.MonomialClassifier(rep, 4)
     d = spec.dim
     assert d == 256
     assert traced_peak(lambda: nonlocality_matrix(spec, cls)) < Q_BLOCK_BYTES + 4 * d * d * 16
@@ -244,7 +244,7 @@ def test_syk_non_hermitian_monomials_raise(monkeypatch):
 
     monkeypatch.setattr(syk, "monomial_strings", rotated)
     with pytest.raises(ArithmeticError, match="imaginary"):
-        nonlocality_matrix(spec, syk.syk_locality_classifier(rep, 2))
+        nonlocality_matrix(spec, syk.MonomialClassifier(rep, 2))
 
 
 def test_classifier_must_yield_2d_blocks():
@@ -258,12 +258,12 @@ def test_q_memory_is_one_block_plus_dense_arrays():
     pairs * D * 16 bytes (77 MiB).  The streamed build stays within the block
     budget plus a few D x D float64 arrays."""
     block = resonant.enumerate_block(16, 16)
-    h = resonant.build_block_hamiltonian(block, resonant.coupling_truncated())
+    h = resonant.build_block_hamiltonian(block, resonant.CouplingScheme("truncated"))
     spec = linalg.normalize_spectrum(linalg.eigendecompose(h))
     d = spec.dim
     assert d == 231
-    cls = resonant.resonant_locality_classifier(block, 4)
-    dense_bytes = len(cls.local_pairs()) * d * 16
+    cls = resonant.ResonantClassifier(block, 4)
+    dense_bytes = len(local_pairs(block, 4)) * d * 16
     peak = traced_peak(lambda: nonlocality_matrix(spec, cls))
     assert peak < Q_BLOCK_BYTES + 6 * d * d * 8
     assert peak < 0.5 * dense_bytes
@@ -271,7 +271,7 @@ def test_q_memory_is_one_block_plus_dense_arrays():
 
 def test_real_hamiltonians_stay_real():
     block = resonant.enumerate_block(6, 6)
-    h = resonant.build_block_hamiltonian(block, resonant.coupling_random(1))
+    h = resonant.build_block_hamiltonian(block, resonant.CouplingScheme("random", seed=1))
     assert h.entries.dtype == np.float64
     assert linalg.eigendecompose(h).vectors.dtype == np.float64
     rep = syk.build_clifford(6)

@@ -7,20 +7,26 @@ from evolat.resonant import (
     MAX_BLOCK_STATES,
     CouplingScheme,
     block_states_csv,
+    ResonantClassifier,
     build_block_hamiltonian,
-    coupling_alpha,
-    coupling_delta,
-    coupling_gg,
-    coupling_random,
-    coupling_truncated,
     enumerate_block,
     locality_table,
     min_coupling_operator,
     partition_count,
-    resonant_locality,
-    resonant_locality_classifier,
 )
-from oracles import build_block_hamiltonian_oracle
+from oracles import build_block_hamiltonian_oracle, local_pairs, resonant_locality
+
+SCHEMES = [
+    CouplingScheme("gg"),
+    CouplingScheme("truncated"),
+    CouplingScheme("alpha", alpha=1.0),
+    CouplingScheme("delta", delta_coeff=0.5),
+    CouplingScheme("random", seed=5),
+]
+
+
+def scheme_id(scheme: CouplingScheme) -> str:
+    return f"coupling_{scheme.kind}"
 
 
 @pytest.mark.parametrize(
@@ -78,7 +84,7 @@ def test_enumerate_block_guards():
 def test_gg_two_two_block_oracle():
     # states |eta_0=1, eta_2=1> and |eta_1=2>; closed 2x2 with eigenvalues 0, 3
     blk = enumerate_block(2, 2)
-    h = build_block_hamiltonian(blk, coupling_gg())
+    h = build_block_hamiltonian(blk, CouplingScheme("gg"))
     expect = np.array([[2.0, np.sqrt(2.0)], [np.sqrt(2.0), 1.0]])
     assert np.abs(h.entries - expect).max() < 1e-12
     assert np.abs(np.linalg.eigvalsh(h.entries) - [0.0, 3.0]).max() < 1e-12
@@ -99,13 +105,8 @@ def test_all_zero_couplings_give_zero_matrix():
     assert np.abs(h.entries).max() == 0.0
 
 
-@pytest.mark.parametrize(
-    "scheme_factory",
-    [coupling_gg, coupling_truncated, lambda: coupling_alpha(1.0),
-     lambda: coupling_delta(0.5), lambda: coupling_random(5)],
-)
-def test_builder_matches_ladder_oracle(scheme_factory):
-    scheme = scheme_factory()
+@pytest.mark.parametrize("scheme", SCHEMES, ids=scheme_id)
+def test_builder_matches_ladder_oracle(scheme):
     for n, m in ((4, 4), (6, 6), (5, 7)):
         blk = enumerate_block(n, m)
         fast = build_block_hamiltonian(blk, scheme).entries
@@ -115,7 +116,7 @@ def test_builder_matches_ladder_oracle(scheme_factory):
 
 def test_truncated_quartic_piecewise():
     # table is pure: the resonance condition n+m = k+l lives in the builder
-    s = coupling_truncated()
+    s = CouplingScheme("truncated")
     assert s.quartic(1, 1, 1, 1, 4) == 0.0
     assert s.quartic(0, 0, 1, 1, 4) == 1.0
     assert s.quartic(0, 2, 1, 1, 4) == 1.0
@@ -123,19 +124,19 @@ def test_truncated_quartic_piecewise():
 
 
 def test_gg_quartic_constant():
-    s = coupling_gg()
+    s = CouplingScheme("gg")
     assert s.quartic(3, 1, 2, 2, 6) == 1.0
 
 
 def test_random_scheme_reproducible_and_symmetric():
-    a = coupling_random(7)
-    b = coupling_random(7)
+    a = CouplingScheme("random", seed=7)
+    b = CouplingScheme("random", seed=7)
     blk = enumerate_block(5, 5)
     ha = build_block_hamiltonian(blk, a).entries
     hb = build_block_hamiltonian(blk, b).entries
     assert np.array_equal(ha, hb)
     # the averaged table respects the index symmetries of a real coupling
-    s = coupling_random(13)
+    s = CouplingScheme("random", seed=13)
     for (n, m, k, l) in ((0, 3, 1, 2), (1, 2, 0, 3), (2, 2, 1, 3)):
         base = s.quartic(n, m, k, l, 4)
         assert s.quartic(m, n, k, l, 4) == pytest.approx(base, abs=1e-15)
@@ -160,15 +161,15 @@ def test_alpha_delta_block_equivalence():
     # block when delta = alpha / M
     for n, m, alpha in ((5, 5, 1.0), (4, 6, 2.5)):
         blk = enumerate_block(n, m)
-        ha = build_block_hamiltonian(blk, coupling_alpha(alpha)).entries
-        hd = build_block_hamiltonian(blk, coupling_delta(alpha / m)).entries
+        ha = build_block_hamiltonian(blk, CouplingScheme("alpha", alpha=alpha)).entries
+        hd = build_block_hamiltonian(blk, CouplingScheme("delta", delta_coeff=alpha / m)).entries
         assert np.abs(ha - hd).max() < 1e-12
 
 
 def test_alpha_shifts_only_diagonal():
     blk = enumerate_block(4, 4)
-    h0 = build_block_hamiltonian(blk, coupling_gg()).entries
-    h1 = build_block_hamiltonian(blk, coupling_alpha(2.0)).entries
+    h0 = build_block_hamiltonian(blk, CouplingScheme("gg")).entries
+    h1 = build_block_hamiltonian(blk, CouplingScheme("alpha", alpha=2.0)).entries
     diff = h1 - h0
     eta0 = np.array([s[0] for s in blk.states], dtype=float)
     assert np.abs(diff - np.diag(2.0 * eta0)).max() < 1e-12
@@ -189,20 +190,17 @@ def test_min_coupling_single_state_value():
     assert h.entries[0, 0] == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize(
-    "scheme_factory",
-    [coupling_gg, coupling_truncated, lambda: coupling_alpha(1.0), lambda: coupling_delta(0.5)],
-)
-def test_min_coupling_commutes_with_integrable_family(scheme_factory):
+@pytest.mark.parametrize("scheme", SCHEMES[:4], ids=scheme_id)
+def test_min_coupling_commutes_with_integrable_family(scheme):
     blk = enumerate_block(7, 7)
-    h = build_block_hamiltonian(blk, scheme_factory()).entries
+    h = build_block_hamiltonian(blk, scheme).entries
     hm = min_coupling_operator(blk).entries
     assert np.abs(h @ hm - hm @ h).max() < 1e-8
 
 
 def test_min_coupling_broken_by_random_couplings():
     blk = enumerate_block(7, 7)
-    h = build_block_hamiltonian(blk, coupling_random(3)).entries
+    h = build_block_hamiltonian(blk, CouplingScheme("random", seed=3)).entries
     hm = min_coupling_operator(blk).entries
     assert np.abs(h @ hm - hm @ h).max() > 0.1
 
@@ -235,29 +233,29 @@ def test_locality_table_matches_pairwise():
 
 
 def test_classifier_pair_counts():
+    """One real row per state and one per unordered local pair a < b: half
+    of the ordered pairs off the diagonal."""
     blk = enumerate_block(4, 4)
-    cls0 = resonant_locality_classifier(blk, 0)
-    assert len(cls0.local_pairs()) == blk.dim  # only the diagonal at threshold 0
-    cls_all = resonant_locality_classifier(blk, blk.total_level)
+    spec = eigendecompose(build_block_hamiltonian(blk, CouplingScheme("random", seed=2)))
     table = locality_table(blk)
-    # one generator |a><b| per ordered pair with locality within threshold
-    assert len(cls_all.local_pairs()) == np.count_nonzero(table <= blk.total_level)
-    cls2 = resonant_locality_classifier(blk, 2)
-    assert len(cls2.local_pairs()) == np.count_nonzero(table <= 2)
+    assert np.count_nonzero(table <= 0) == blk.dim  # only the diagonal at threshold 0
+    for threshold in (0, 2, blk.total_level):
+        ordered = np.count_nonzero(table <= threshold)
+        rows = sum(z.shape[0] for z in ResonantClassifier(blk, threshold).local_diagonals(spec))
+        assert rows == blk.dim + (ordered - blk.dim) // 2
 
 
 def test_classifier_diagonals_formula():
     """Real 2-D blocks: |V_a|^2 per state, then sqrt(2) Re(conj(V_a) V_b)
     per local pair a < b, in row-major order of the pairs."""
     blk = enumerate_block(4, 4)
-    h = build_block_hamiltonian(blk, coupling_random(2))
+    h = build_block_hamiltonian(blk, CouplingScheme("random", seed=2))
     spec = eigendecompose(h)
-    cls = resonant_locality_classifier(blk, 2)
-    blocks = list(cls.local_diagonals(spec))
+    blocks = list(ResonantClassifier(blk, 2).local_diagonals(spec))
     for z in blocks:
         assert z.dtype == np.float64 and z.ndim == 2 and z.shape[1] == blk.dim
     rows = np.vstack(blocks)
-    pairs = cls.local_pairs()
+    pairs = local_pairs(blk, 2)
     upper = pairs[pairs[:, 0] <= pairs[:, 1]]
     assert rows.shape == (blk.dim + (len(pairs) - blk.dim) // 2, blk.dim)
     assert len(upper) == rows.shape[0]
@@ -272,13 +270,13 @@ def test_resonant_hamiltonian_is_two_local():
     """Quartic terms move at most two particles, so H only connects states
     at locality <= 2 and its energies are local at threshold 2."""
     blk = enumerate_block(6, 6)
-    h = build_block_hamiltonian(blk, coupling_random(11))
+    h = build_block_hamiltonian(blk, CouplingScheme("random", seed=11))
     table = locality_table(blk)
     far = table > 2
     assert np.abs(h.entries[far]).max() == 0.0
     spec = eigendecompose(h)
     e = normalize_energies(spec.energies)
-    q = nonlocality_matrix(Spectrum(e, spec.vectors), resonant_locality_classifier(blk, 2))
+    q = nonlocality_matrix(Spectrum(e, spec.vectors), ResonantClassifier(blk, 2))
     assert q.null_residual(e) < 1e-8
 
 

@@ -10,11 +10,10 @@ from evolat.engine import nonlocality_matrix
 from evolat.linalg import Spectrum, eigendecompose, normalize_energies
 from evolat.syk import (
     DENSE_BYTES_LIMIT,
+    MonomialClassifier,
     antisymmetric_canonical_form,
     build_clifford,
-    charge_operators,
     chaotic_syk,
-    extract_omegas,
     free_syk,
     integrable_syk,
     monomial_strings,
@@ -22,15 +21,16 @@ from evolat.syk import (
     sample_pair_couplings,
     sample_quadratic_couplings,
     string_product,
-    syk_locality_classifier,
 )
 
 from oracles import (
     dense_chaotic_syk,
+    dense_charges,
     dense_free_syk,
     dense_integrable_syk,
     dense_majoranas,
     dense_monomial,
+    local_subsets,
     string_matrix,
 )
 
@@ -109,7 +109,6 @@ def test_build_clifford_validates():
         lambda: free_syk(big, j2),
         lambda: chaotic_syk(big, j2, np.zeros(14950), 1.0, body=4),
         lambda: integrable_syk(big, np.ones(13), np.zeros((13, 13)), 1.0),
-        lambda: charge_operators(big),
     ]
     for build in builds:
         tracemalloc.start()
@@ -153,6 +152,20 @@ def test_canonical_form_random(seed):
     assert np.abs(v @ v.T - np.eye(n)).max() < 1e-10
 
 
+def test_canonical_form_null_space_and_repeated_pairs():
+    """A repeated w and a two-pair null space, in a random orthogonal frame."""
+    rng = np.random.default_rng(3)
+    frame, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+    d = np.zeros((8, 8))
+    for p, w in enumerate([2.0, 2.0, 0.0, 0.0]):
+        d[2 * p, 2 * p + 1], d[2 * p + 1, 2 * p] = w, -w
+    j = frame @ d @ frame.T
+    omegas, v = antisymmetric_canonical_form(j)
+    assert np.abs(omegas - [2.0, 2.0, 0.0, 0.0]).max() < 1e-12
+    assert np.abs(v @ d @ v.T - j).max() < 1e-12
+    assert np.abs(v @ v.T - np.eye(8)).max() < 1e-12
+
+
 def test_canonical_form_rejects_symmetric():
     with pytest.raises(ValueError):
         antisymmetric_canonical_form(np.eye(4))
@@ -162,7 +175,7 @@ def test_free_spectrum_is_sign_sum(rep8):
     rng = np.random.default_rng(12)
     j2 = sample_quadratic_couplings(8, rng)
     h = free_syk(rep8, j2)
-    omegas = extract_omegas(j2)
+    omegas = antisymmetric_canonical_form(j2)[0]
     expect = sorted(
         sum(s * w for s, w in zip(signs, omegas))
         for signs in itertools.product((-1.0, 1.0), repeat=4)
@@ -177,7 +190,7 @@ def test_free_syk_rejects_symmetric_couplings(rep8):
 
 
 def test_charges_square_to_identity_and_commute(rep8):
-    j3 = charge_operators(rep8)
+    j3 = dense_charges(dense_majoranas(8))
     dim = rep8.dim
     for a in j3:
         assert np.abs(a - a.conj().T).max() < 1e-12
@@ -191,10 +204,11 @@ def test_charges_commute_with_free_hamiltonian(rep8):
     j2 = sample_quadratic_couplings(8, rng)
     omegas, frame = antisymmetric_canonical_form(j2)
     h = free_syk(rep8, j2).entries
-    for a in charge_operators(rep8, frame):
+    j3 = dense_charges(dense_majoranas(8), frame)
+    for a in j3:
         assert np.abs(h @ a - a @ h).max() < 1e-10
     # and the free Hamiltonian is the canonical charge combination
-    rebuilt = sum(w * c for w, c in zip(omegas, charge_operators(rep8, frame)))
+    rebuilt = sum(w * c for w, c in zip(omegas, j3))
     assert np.abs(h - rebuilt).max() < 1e-10
 
 
@@ -224,7 +238,7 @@ def test_integrable_commutes_with_charges(rep8):
     j2 = sample_quadratic_couplings(8, rng)
     omegas, frame = antisymmetric_canonical_form(j2)
     h = integrable_syk(rep8, omegas, sample_pair_couplings(8, rng), epsilon=1.0, frame=frame)
-    for a in charge_operators(rep8, frame):
+    for a in dense_charges(dense_majoranas(8), frame):
         assert np.abs(h.entries @ a - a @ h.entries).max() < 1e-10
 
 
@@ -306,8 +320,8 @@ def test_monomial_orthonormality():
 
 
 def test_classifier_counts_and_shape(rep8):
-    cls = syk_locality_classifier(rep8, 2)
-    subsets = list(cls.local_subsets())
+    cls = MonomialClassifier(rep8, 2)
+    subsets = local_subsets(rep8, 2)
     assert len(subsets) == 8 + 28  # weights 1 and 2, identity excluded
     spec = eigendecompose(free_syk(rep8, sample_quadratic_couplings(8, np.random.default_rng(0))))
     blocks = list(cls.local_diagonals(spec))
@@ -322,18 +336,11 @@ def test_classifier_counts_and_shape(rep8):
         assert np.abs(r - expect).max() < 1e-14
 
 
-def test_classifier_identity_toggle(rep8):
-    cls = syk_locality_classifier(rep8, 1, include_identity=True)
-    subsets = list(cls.local_subsets())
-    assert subsets[0] == ()
-    assert len(subsets) == 1 + 8
-
-
 def test_classifier_threshold_bounds(rep8):
     with pytest.raises(ValueError):
-        syk_locality_classifier(rep8, 0)
+        MonomialClassifier(rep8, 0)
     with pytest.raises(ValueError):
-        syk_locality_classifier(rep8, 9)
+        MonomialClassifier(rep8, 9)
 
 
 def test_free_syk_quadratic_locality(rep8):
@@ -342,7 +349,7 @@ def test_free_syk_quadratic_locality(rep8):
     h = free_syk(rep8, sample_quadratic_couplings(8, rng))
     spec = eigendecompose(h)
     e = normalize_energies(spec.energies)
-    q = nonlocality_matrix(Spectrum(e, spec.vectors), syk_locality_classifier(rep8, 2))
+    q = nonlocality_matrix(Spectrum(e, spec.vectors), MonomialClassifier(rep8, 2))
     assert q.null_residual(e) < 1e-8
     assert np.abs(q.eigenvalues - np.round(q.eigenvalues)).max() < 1e-6
 
