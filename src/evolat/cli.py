@@ -208,24 +208,33 @@ def _build_model(cfg: dict) -> ModelBundle:
 
 
 def _default_threshold(cfg: dict) -> int:
-    family = cfg.get("model", {}).get("family")
-    if family == "syk":
-        return 2 if cfg["model"].get("variant") == "free" else 4
+    mc = cfg.get("model")
+    if isinstance(mc, dict) and mc.get("family") == "syk" and mc.get("variant") != "free":
+        return 4
     return 2
+
+
+def _metric_settings(cfg: dict, dim: int = 1) -> tuple:
+    """(mu, nu, threshold) at dimension dim; dim = 1 checks them up front."""
+    mu, nu = cfg.get("mu", 1.0), cfg.get("nu", 0.0)
+    try:
+        mu = float(dim) if mu == "dim" else float(mu)
+        nu = engine.SU_NU_FACTOR * mu if nu == "su" else float(nu)
+        thr = int(cfg.get("threshold", _default_threshold(cfg)))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SystemExit(f"mu, nu, threshold: {exc}") from None
+    if not (1.0 <= mu < np.inf and 0.0 <= nu < np.inf and thr >= 0):
+        raise SystemExit(f"need finite mu >= 1 and nu >= 0, threshold >= 0; got {mu}, {nu}, {thr}")
+    return mu, nu, thr
 
 
 def _metric_for(cfg: dict, bundle: ModelBundle) -> engine.ComplexityMetric:
     """Resolve the metric from mu/nu/threshold settings."""
-    dim = bundle.spectrum.dim
-    mu = cfg.get("mu", 1.0)
-    mu = float(dim) if mu == "dim" else float(mu)
-    nu = cfg.get("nu", 0.0)
-    nu = engine.SU_NU_FACTOR * mu if nu == "su" else float(nu)
+    mu, nu, thr = _metric_settings(cfg, bundle.spectrum.dim)
     if mu == 1.0:  # Q carries weight mu - 1, so it is not built
         return engine.ComplexityMetric(nu=nu)
     if bundle.classifier is None:
         raise SystemExit(f"model {bundle.name} has no locality structure; use mu = 1")
-    thr = int(cfg.get("threshold", _default_threshold(cfg)))
     q = engine.nonlocality_matrix(bundle.spectrum, bundle.classifier(thr))
     return engine.ComplexityMetric(mu=mu, nu=nu, q=q)
 
@@ -316,6 +325,7 @@ def _run_sweep(cfg: dict, bundle: ModelBundle, times: np.ndarray):
 
 def cmd_bound(cfg: dict, outdir: Path) -> int:
     times = _times(cfg)
+    _metric_settings(cfg)
     bundle = _build_model(cfg)
     trace, pipeline = _run_sweep(cfg, bundle, times)
     h = _config_hash(cfg)
@@ -339,10 +349,10 @@ def cmd_bound(cfg: dict, outdir: Path) -> int:
 
 
 def cmd_qspec(cfg: dict, outdir: Path) -> int:
+    thr = _metric_settings(cfg)[2]
     bundle = _build_model(cfg)
     if bundle.classifier is None:
         raise SystemExit(f"model {bundle.name} has no locality structure")
-    thr = int(cfg.get("threshold", _default_threshold(cfg)))
     q = engine.nonlocality_matrix(bundle.spectrum, bundle.classifier(thr))
     h = _config_hash(cfg)
     rows = [f"{i},{_fmt(v)}" for i, v in enumerate(q.eigenvalues)]
@@ -386,9 +396,14 @@ def cmd_stats(cfg: dict, outdir: Path) -> int:
 
 def cmd_plateau(cfg: dict, outdir: Path) -> int:
     times = _times(cfg)
+    window = tuple(cfg.get("window", (times[0], times[-1])))
+    try:
+        engine.plateau_window(times, window)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"window: {exc}") from None
+    _metric_settings(cfg)
     bundle = _build_model(cfg)
     trace, pipeline = _run_sweep(cfg, bundle, times)
-    window = tuple(cfg.get("window", (trace.times[0], trace.times[-1])))
     stats = engine.plateau_stats(trace, window)
     if pipeline is not None:
         estimate = lattice.plateau_estimate(pipeline.lattice)

@@ -343,36 +343,33 @@ def bi_invariant_trace(energies: np.ndarray, times: Sequence[float]) -> Complexi
     return ComplexityTrace(ts, values, "biinvariant", ks)
 
 
-def plateau_stats(trace: ComplexityTrace, window: tuple) -> PlateauStats:
-    """Mean and unbiased variance of a trace inside a time window.
+def plateau_window(times: np.ndarray, window: tuple) -> np.ndarray:
+    """Indices of the times inside a plateau window.
 
     window is (t_start, t_end) or (t_start, t_end, stride); a stride keeps
     only samples at least that far apart.  Requires at least 10 samples.
     """
-    if len(window) == 2:
-        t0, t1, stride = window[0], window[1], None
-    elif len(window) == 3:
-        t0, t1, stride = window
-    else:
+    if len(window) not in (2, 3):
         raise ValueError("window must be (t_start, t_end[, stride])")
-    if not (trace.times[0] <= t0 < t1 <= trace.times[-1]):
-        raise ValueError(
-            f"window [{t0}, {t1}] outside trace range "
-            f"[{trace.times[0]}, {trace.times[-1]}]"
-        )
-    mask = (trace.times >= t0) & (trace.times <= t1)
-    ts = trace.times[mask]
-    vs = trace.values[mask]
+    t0, t1, stride = (*window, None)[:3]
+    if not (times[0] <= t0 < t1 <= times[-1]):
+        raise ValueError(f"window [{t0}, {t1}] outside trace range [{times[0]}, {times[-1]}]")
+    idx = np.flatnonzero((times >= t0) & (times <= t1))
     if stride is not None:
-        keep = []
-        last = -np.inf
-        for i, t in enumerate(ts):
+        keep, last = [], -np.inf
+        for j, t in enumerate(times[idx]):
             if t >= last + stride - 1e-9:
-                keep.append(i)
+                keep.append(j)
                 last = t
-        vs = vs[keep]
-    if vs.size < 10:
-        raise ValueError(f"window holds {vs.size} samples, need at least 10")
+        idx = idx[keep]
+    if idx.size < 10:
+        raise ValueError(f"window holds {idx.size} samples, need at least 10")
+    return idx
+
+
+def plateau_stats(trace: ComplexityTrace, window: tuple) -> PlateauStats:
+    """Mean and unbiased variance of a trace inside a plateau_window."""
+    vs = trace.values[plateau_window(trace.times, window)]
     return PlateauStats(tuple(window), float(vs.mean()), float(vs.var(ddof=1)), int(vs.size))
 
 

@@ -166,40 +166,42 @@ def build_block_hamiltonian(block: FockBlock, scheme: CouplingScheme) -> Hermiti
     """Block matrix of H in the occupation basis.
 
     Annihilating two occupied modes k, l of a block state always satisfies
-    k + l <= M, so creation never leaves the 0..M mode range.
+    k + l <= M, so creation never leaves the 0..M mode range.  Each term
+    (k <= l, n) acts on all states at once, finding targets by integer key;
+    every entry sums its terms in (k, l, n) order, as a loop over states.
     """
-    m_lvl = block.total_level
-    d = block.dim
+    m_lvl, d = block.total_level, block.dim
+    occ = block.occupations()
+    # keys: occupations times powers of an odd 64-bit constant, wrapping around
+    weights = np.cumprod(np.full(m_lvl + 1, 0x9E3779B97F4A7C15, dtype=np.uint64)).view(np.int64)
+    keys = occ @ weights
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+        raise ArithmeticError(f"occupation keys collide in block ({block.n_particles}, {m_lvl})")
+    cells, terms = [], []
+    for k in range(m_lvl // 2 + 1):
+        for l in range(k, m_lvl - k + 1):
+            b = np.flatnonzero(occ[:, k] >= 2 if k == l else (occ[:, k] > 0) & (occ[:, l] > 0))
+            # zero terms are skipped: adding ±0.0 changes no entry, none being -0.0
+            quads = [(n, k + l - n, c) for n in range((k + l) // 2 + 1)
+                     if (c := scheme.quartic(n, k + l - n, k, l, m_lvl)) != 0.0]
+            if not (quads and b.size):
+                continue
+            n, m, c = (np.array(col) for col in zip(*quads))
+            amp_ann = np.sqrt(occ[b, k] * (occ[b, l] - float(k == l)))
+            mid_n = occ[np.ix_(b, n)] - (n == k) - (n == l) + 1.0
+            mid_m = occ[np.ix_(b, m)] - (m == k) - (m == l) + 1.0
+            amp_cre = np.sqrt(mid_n * np.where(n == m, mid_n + 1.0, mid_m))
+            coeff = 0.5 * ((2 - (n == m)) * (2 - (k == l))) * c
+            terms.append((coeff * amp_ann[:, None] * amp_cre).ravel())
+            step = weights[n] + weights[m] - weights[k] - weights[l]
+            a = order[np.searchsorted(sorted_keys, keys[b, None] + step)]
+            cells.append((a * d + b[:, None]).ravel())
     h = np.zeros((d, d))
-    for b_idx, occ in enumerate(block.states):
-        occupied = [n for n, c in enumerate(occ) if c > 0]
-        for ki in range(len(occupied)):
-            for li in range(ki, len(occupied)):
-                k, l = occupied[ki], occupied[li]
-                if k == l:
-                    if occ[k] < 2:
-                        continue
-                    amp_ann = np.sqrt(occ[k] * (occ[k] - 1.0))
-                else:
-                    amp_ann = np.sqrt(float(occ[k]) * occ[l])
-                mid = list(occ)
-                mid[k] -= 1
-                mid[l] -= 1
-                s = k + l
-                for n in range(s // 2 + 1):
-                    m = s - n
-                    if n == m:
-                        amp_cre = np.sqrt((mid[n] + 1.0) * (mid[n] + 2.0))
-                    else:
-                        amp_cre = np.sqrt((mid[n] + 1.0) * (mid[m] + 1.0))
-                    out = list(mid)
-                    out[n] += 1
-                    out[m] += 1
-                    a_idx = block.state_index(out)
-                    weight = (2 - (n == m)) * (2 - (k == l))
-                    c = scheme.quartic(n, m, k, l, m_lvl)
-                    h[a_idx, b_idx] += 0.5 * weight * c * amp_ann * amp_cre
-    h += np.diag(scheme.diagonal_shift(block))
+    if terms:
+        np.add.at(h.reshape(-1), np.concatenate(cells), np.concatenate(terms))
+    h.flat[:: d + 1] += scheme.diagonal_shift(block)
     return HermitianMatrix(h)
 
 
@@ -227,15 +229,17 @@ def min_coupling_operator(block: FockBlock) -> HermitianMatrix:
 
 
 def locality_table(block: FockBlock) -> np.ndarray:
-    """Pairwise locality of all block states (symmetric within a block)."""
-    occ = block.occupations()
+    """Pairwise locality of all block states (symmetric within a block), in
+    the smallest signed integer type that holds the particle number."""
+    dtype = np.min_scalar_type(-block.n_particles - 1)
+    occ = block.occupations().astype(dtype)
     d = block.dim
-    out = np.empty((d, d), dtype=np.int64)
+    out = np.empty((d, d), dtype=dtype)
     chunk = max(1, 2**22 // max(occ.shape[1] * d, 1))
     for start in range(0, d, chunk):
         stop = min(start + chunk, d)
         diff = occ[None, start:stop, :] - occ[:, None, :]
-        out[start:stop, :] = np.maximum(diff, 0).sum(axis=2).T
+        out[start:stop, :] = np.maximum(diff, 0, out=diff).sum(axis=2, dtype=dtype).T
     return out
 
 
@@ -264,22 +268,25 @@ class ResonantClassifier:
         if not np.array_equal(local, local.T):
             raise ValueError("locality table is not symmetric; the a<->b fold needs it")
         v = spectrum.vectors
-        a, b = np.nonzero(np.triu(local))  # a <= b
-        scale = np.where(a == b, 1.0, np.sqrt(2.0))[:, None]
-        # a block of rows lives next to one gathered copy of the same size
+        # row-major pairs: state a owns rows runs[a]:runs[a + 1], (a, a) first
+        a, b = np.nonzero(np.triu(local))
+        runs = np.searchsorted(a, np.arange(v.shape[0] + 1))
+        # room for the block and one copy of it, the complex branch's real rows
         rows = block_rows(v.shape[1], 2 * v.itemsize)
         for start in range(0, a.size, rows):
-            sl = slice(start, start + rows)
-            prod = v[a[sl]]
+            stop = min(start + rows, a.size)
+            prod = v[b[start:stop]]
+            for s in range(a[start], a[stop - 1] + 1):
+                lo, hi = max(runs[s], start) - start, min(runs[s + 1], stop) - start
+                # conj(V_a) stays left: with FMA the complex product is not commutative
+                np.multiply(v[s].conj(), prod[lo:hi], out=prod[lo:hi])
+                # the rows with b > a, past the diagonal pair, carry a sqrt(2)
+                off = prod[lo + (runs[s] >= start) : hi].view(np.float64)
+                off *= np.sqrt(2.0)
+            yield prod.real
             if np.iscomplexobj(prod):
-                np.conjugate(prod, out=prod)
-            prod *= v[b[sl]]
-            if np.iscomplexobj(prod):
-                yield prod.real * scale[sl]
-                yield prod.imag[a[sl] != b[sl]] * np.sqrt(2.0)
-            else:
-                prod *= scale[sl]
-                yield prod
+                yield prod.imag[a[start:stop] != b[start:stop]]
+            del prod, off  # release the block before the next one is gathered
 
 
 def block_states_csv(block: FockBlock) -> str:

@@ -7,7 +7,7 @@ import operator
 import numpy as np
 
 from evolat import lattice as lattice_module
-from evolat.engine import AUDIT_TOL, TWO_PI
+from evolat.engine import AUDIT_TOL, TWO_PI, block_rows
 from evolat.lattice import (
     LLL_DELTA_DEFAULT,
     IterationCapError,
@@ -16,7 +16,7 @@ from evolat.lattice import (
     triangularize,
 )
 from evolat.linalg import HermitianMatrix
-from evolat.resonant import CouplingScheme, FockBlock, locality_table
+from evolat.resonant import CouplingScheme, FockBlock, ResonantClassifier, locality_table
 
 BOX_MAX_DIM = 12
 
@@ -339,3 +339,70 @@ def dense_integrable_syk(psis, omegas, pair_couplings, epsilon, frame=None) -> n
     for p, q in itertools.combinations(range(len(j3)), 2):
         h = h + (epsilon * pair_couplings[p, q]) * (j3[p] @ j3[q])
     return h
+
+
+def build_block_hamiltonian_loop(block: FockBlock, scheme: CouplingScheme) -> HermitianMatrix:
+    """`build_block_hamiltonian` one state and one term at a time: for each
+    state, the occupied pairs k <= l, then n = 0..(k + l) // 2.  The
+    vectorized builder sums each entry's terms in the same order, so the two
+    must agree bit for bit."""
+    m_lvl = block.total_level
+    d = block.dim
+    h = np.zeros((d, d))
+    for b_idx, occ in enumerate(block.states):
+        occupied = [n for n, c in enumerate(occ) if c > 0]
+        for ki in range(len(occupied)):
+            for li in range(ki, len(occupied)):
+                k, l = occupied[ki], occupied[li]
+                if k == l:
+                    if occ[k] < 2:
+                        continue
+                    amp_ann = np.sqrt(occ[k] * (occ[k] - 1.0))
+                else:
+                    amp_ann = np.sqrt(float(occ[k]) * occ[l])
+                mid = list(occ)
+                mid[k] -= 1
+                mid[l] -= 1
+                s = k + l
+                for n in range(s // 2 + 1):
+                    m = s - n
+                    if n == m:
+                        amp_cre = np.sqrt((mid[n] + 1.0) * (mid[n] + 2.0))
+                    else:
+                        amp_cre = np.sqrt((mid[n] + 1.0) * (mid[m] + 1.0))
+                    out = list(mid)
+                    out[n] += 1
+                    out[m] += 1
+                    a_idx = block.state_index(out)
+                    weight = (2 - (n == m)) * (2 - (k == l))
+                    c = scheme.quartic(n, m, k, l, m_lvl)
+                    h[a_idx, b_idx] += 0.5 * weight * c * amp_ann * amp_cre
+    h += np.diag(scheme.diagonal_shift(block))
+    return HermitianMatrix(h)
+
+
+
+def gathered_local_diagonals(classifier: ResonantClassifier, spectrum) -> list:
+    """The resonant classifier's blocks built by two gathers per block,
+    conj(V_a) * V_b, and a separate scale pass of 1 or sqrt(2) per row.
+    `ResonantClassifier.local_diagonals` must yield the same blocks bit for
+    bit."""
+    local = locality_table(classifier.block) <= classifier.threshold
+    v = spectrum.vectors
+    a, b = np.nonzero(np.triu(local))
+    scale = np.where(a == b, 1.0, np.sqrt(2.0))[:, None]
+    rows = block_rows(v.shape[1], 2 * v.itemsize)
+    blocks = []
+    for start in range(0, a.size, rows):
+        sl = slice(start, start + rows)
+        prod = v[a[sl]]
+        if np.iscomplexobj(prod):
+            np.conjugate(prod, out=prod)
+        prod *= v[b[sl]]
+        if np.iscomplexobj(prod):
+            blocks.append(prod.real * scale[sl])
+            blocks.append(prod.imag[a[sl] != b[sl]] * np.sqrt(2.0))
+        else:
+            prod *= scale[sl]
+            blocks.append(prod)
+    return blocks

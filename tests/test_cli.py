@@ -8,6 +8,7 @@ overhead of spawning interpreters.
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -86,6 +87,31 @@ def test_bad_time_grid_refused_before_the_model(tmp_path, monkeypatch, command, 
     monkeypatch.setattr(cli, "_build_model", refuse)
     with pytest.raises(SystemExit, match="times"):
         run(tmp_path, command, dict(SYNTH_TRACE, times=times), "bad_times")
+
+
+def refuse_model(cfg):
+    raise AssertionError("the model was built before the settings were checked")
+
+
+@pytest.mark.parametrize("command", ["bound", "plateau", "qspec"])
+@pytest.mark.parametrize("key,value", [
+    ("mu", "big"), ("mu", 0.5), ("mu", None), ("mu", float("inf")),
+    ("nu", "x"), ("nu", -1.0), ("threshold", -1), ("threshold", "four"), ("threshold", None),
+])
+def test_bad_metric_setting_refused_before_the_model(tmp_path, monkeypatch, command, key, value):
+    monkeypatch.setattr(cli, "_build_model", refuse_model)
+    cfg = dict(SYNTH_TRACE, chain="babai", window=[2000.0, 4000.0], **{key: value})
+    with pytest.raises(SystemExit, match=re.escape(str(value))):
+        run(tmp_path, command, cfg, "bad_setting")
+
+
+@pytest.mark.parametrize("window", [
+    [2000.0, 2100.0], [2000.0, 4000.0, 1000.0], [1000.0, 3000.0], [2000.0], ["a", "b"],
+], ids=["3-samples", "3-strided-samples", "outside-grid", "one-entry", "not-numbers"])
+def test_bad_plateau_window_refused_before_the_model(tmp_path, monkeypatch, window):
+    monkeypatch.setattr(cli, "_build_model", refuse_model)
+    with pytest.raises(SystemExit, match="window"):
+        run(tmp_path, "plateau", dict(SYNTH_TRACE, window=window), "bad_window")
 
 
 def test_presets_name_real_models():

@@ -14,7 +14,13 @@ import pytest
 from evolat import engine, linalg, resonant, syk
 from evolat.engine import Q_BLOCK_BYTES, nonlocality_matrix
 
-from oracles import dense_majoranas, dense_monomial, local_pairs, local_subsets
+from oracles import (
+    dense_majoranas,
+    dense_monomial,
+    gathered_local_diagonals,
+    local_pairs,
+    local_subsets,
+)
 
 SCHEMES = {
     "gg": resonant.CouplingScheme("gg"),
@@ -67,6 +73,41 @@ def test_resonant_stream_with_complex_eigenvectors():
         assert np.array_equal(q.entries, q.entries.T)
         assert np.abs(q.entries - dense_resonant_q(cls, cspec)).max() < 1e-12
         assert np.abs(q.entries - nonlocality_matrix(spec, cls).entries).max() < 1e-12
+
+
+class GatheredClassifier:
+    """The resonant classifier's rows built by two gathers and a scale pass."""
+
+    def __init__(self, classifier):
+        self.classifier = classifier
+
+    def local_diagonals(self, spectrum):
+        return gathered_local_diagonals(self.classifier, spectrum)
+
+
+@pytest.mark.parametrize("block_bytes", [Q_BLOCK_BYTES, 4096], ids=["one-block", "6-row-blocks"])
+@pytest.mark.parametrize("vectors", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["truncated", "random"])
+def test_resonant_blocks_and_q_are_the_gathered_ones_bit_for_bit(
+    monkeypatch, kind, vectors, block_bytes
+):
+    """One gather of V_b per block, times conj(V_a) per state run, gives the
+    blocks and the Q of two gathers and a scale pass, bit for bit; small
+    blocks cut the runs of one state apart."""
+    block, spec = resonant_spectrum(10, kind)
+    if vectors == "complex":
+        phases = np.exp(1j * np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, spec.dim))
+        spec = linalg.Spectrum(spec.energies, spec.vectors * phases)
+    monkeypatch.setattr(engine, "Q_BLOCK_BYTES", block_bytes)
+    for threshold in (0, 2, 4):
+        cls = resonant.ResonantClassifier(block, threshold)
+        new = list(cls.local_diagonals(spec))
+        old = gathered_local_diagonals(cls, spec)
+        assert len(new) == len(old)
+        for x, y in zip(new, old):
+            assert x.shape == y.shape and np.array_equal(x, y)
+        q = nonlocality_matrix(spec, cls).entries
+        assert np.array_equal(q, nonlocality_matrix(spec, GatheredClassifier(cls)).entries)
 
 
 def test_resonant_blocks_respect_the_budget(monkeypatch):

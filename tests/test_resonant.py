@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from evolat import resonant
 from evolat.engine import nonlocality_matrix
 from evolat.linalg import Spectrum, eigendecompose, normalize_energies
 from evolat.resonant import (
     MAX_BLOCK_STATES,
     CouplingScheme,
+    FockBlock,
     block_states_csv,
     ResonantClassifier,
     build_block_hamiltonian,
@@ -14,7 +16,12 @@ from evolat.resonant import (
     min_coupling_operator,
     partition_count,
 )
-from oracles import build_block_hamiltonian_oracle, local_pairs, resonant_locality
+from oracles import (
+    build_block_hamiltonian_loop,
+    build_block_hamiltonian_oracle,
+    local_pairs,
+    resonant_locality,
+)
 
 SCHEMES = [
     CouplingScheme("gg"),
@@ -112,6 +119,46 @@ def test_builder_matches_ladder_oracle(scheme):
         fast = build_block_hamiltonian(blk, scheme).entries
         slow = build_block_hamiltonian_oracle(blk, scheme).entries
         assert np.abs(fast - slow).max() < 1e-11
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=scheme_id)
+def test_builder_is_the_state_loop_bit_for_bit(scheme):
+    for n in range(1, 13):
+        blk = enumerate_block(n, n)
+        fast = build_block_hamiltonian(blk, scheme).entries
+        assert np.array_equal(fast, build_block_hamiltonian_loop(blk, scheme).entries), n
+
+
+def test_min_coupling_operator_is_the_state_loop_bit_for_bit():
+    for n in range(1, 13):
+        blk = enumerate_block(n, n)
+        loop = 2.0 * build_block_hamiltonian_loop(blk, resonant._MinCharge).entries
+        assert np.array_equal(min_coupling_operator(blk).entries, loop), n
+
+
+@pytest.mark.parametrize("scheme", [SCHEMES[1], SCHEMES[4]], ids=scheme_id)
+def test_builder_is_the_state_loop_bit_for_bit_at_d_627(scheme):
+    blk = enumerate_block(20, 20)
+    assert blk.dim == 627
+    fast = build_block_hamiltonian(blk, scheme).entries
+    assert np.array_equal(fast, build_block_hamiltonian_loop(blk, scheme).entries)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=scheme_id)
+def test_block_without_quartic_terms_is_its_diagonal_shift(scheme):
+    """One particle cannot feed a quartic term: H is the diagonal shift."""
+    for m in (0, 1, 3):
+        blk = enumerate_block(1, m)
+        shift = np.diag(scheme.diagonal_shift(blk))
+        assert np.array_equal(build_block_hamiltonian(blk, scheme).entries, shift)
+
+
+def test_builder_refuses_colliding_state_keys():
+    """Target states are looked up by integer key; equal keys would make the
+    lookup ambiguous, so the builder refuses them."""
+    state = enumerate_block(3, 3).states[0]
+    with pytest.raises(ArithmeticError, match="collide"):
+        build_block_hamiltonian(FockBlock(3, 3, (state, state)), CouplingScheme("gg"))
 
 
 def test_truncated_quartic_piecewise():
@@ -230,6 +277,20 @@ def test_locality_table_matches_pairwise():
             assert table[i, j] == resonant_locality(occ[i], occ[j])
     assert np.array_equal(table, table.T)
     assert np.all(np.diag(table) == 0)
+
+
+@pytest.mark.parametrize("n,m,dtype", [
+    (12, 12, np.int8), (127, 3, np.int8), (128, 3, np.int16), (200, 4, np.int16),
+])
+def test_locality_table_narrow_dtype_holds_the_particle_number(n, m, dtype):
+    """The table is computed in the smallest signed type that holds N, so
+    occupations above 127 move it past int8 without overflow."""
+    blk = enumerate_block(n, m)
+    table = locality_table(blk)
+    assert table.dtype == dtype
+    occ = blk.occupations()
+    expect = [[resonant_locality(x, y) for y in occ] for x in occ]
+    assert np.array_equal(table, expect)
 
 
 def test_classifier_pair_counts():
