@@ -2,8 +2,8 @@
 
 Subcommands: gen (build a model and store its spectrum), bound (complexity
 trace over a time grid), qspec (nonlocality-matrix spectrum), stats (level
-spacing statistics), plateau (late-time mean against the Gram-Schmidt
-estimate), cvp (solver ladder on a stored instance).
+spacing statistics), plateau (the bound trace plus its late-time mean against
+the Gram-Schmidt estimate), cvp (solver ladder on a stored instance).
 
 Configurations are JSON files; a handful of named presets cover the standard
 desk-scale runs.  Outputs are CSV/JSON with a schema line and the hash of the
@@ -73,11 +73,11 @@ PRESETS = {
         "model": {"family": "resonant", "kind": "truncated",
                   "n_particles": 12, "total_level": 12},
     },
-    # full-scale runs from the desk presets; expect hours, not minutes
+    # the paper's (30,30) block, D = 5604: 885 s and a 1.73 GiB peak on 2 cores
     "resonant-truncated-bound-full": {
-        "long_running": True,
         "model": {"family": "resonant", "kind": "truncated",
                   "n_particles": 30, "total_level": 30},
+        "chain": "babai+greedy",
         "threshold": 4,
         "mu": "dim",
         "times": {"start": 50000.0, "stop": 54000.0, "count": 41},
@@ -217,14 +217,19 @@ def _default_threshold(cfg: dict) -> int:
 def _metric_settings(cfg: dict, dim: int = 1) -> tuple:
     """(mu, nu, threshold) at dimension dim; dim = 1 checks them up front."""
     mu, nu = cfg.get("mu", 1.0), cfg.get("nu", 0.0)
+    mc = cfg.get("model")
+    syk_modes = mc.get("n_modes") if isinstance(mc, dict) and mc.get("family") == "syk" else None
     try:
         mu = float(dim) if mu == "dim" else float(mu)
         nu = engine.SU_NU_FACTOR * mu if nu == "su" else float(nu)
         thr = int(cfg.get("threshold", _default_threshold(cfg)))
+        # SYK locality counts Majorana monomials of weight 1 to n_modes
+        lo, hi = (0, np.inf) if syk_modes is None else (1, int(syk_modes))
     except (TypeError, ValueError, OverflowError) as exc:
         raise SystemExit(f"mu, nu, threshold: {exc}") from None
-    if not (1.0 <= mu < np.inf and 0.0 <= nu < np.inf and thr >= 0):
-        raise SystemExit(f"need finite mu >= 1 and nu >= 0, threshold >= 0; got {mu}, {nu}, {thr}")
+    if not (1.0 <= mu < np.inf and 0.0 <= nu < np.inf and lo <= thr <= hi):
+        raise SystemExit(f"need finite mu >= 1 and nu >= 0, threshold in [{lo}, {hi}]; "
+                         f"got {mu}, {nu}, {thr}")
     return mu, nu, thr
 
 
@@ -267,9 +272,6 @@ def _load_config(args) -> dict:
                 f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}"
             )
         cfg = json.loads(json.dumps(PRESETS[args.preset]))
-        if cfg.pop("long_running", False):
-            print(f"note: preset {args.preset} is a full-scale run and may take hours",
-                  file=sys.stderr)
     elif args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
@@ -298,9 +300,6 @@ def cmd_gen(cfg: dict, outdir: Path) -> int:
         linalg.save_matrix(path, entries)
         meta["hamiltonian_file"] = path.name
         print(f"wrote {path}")
-    if bundle.spectrum.dim <= 256:
-        linalg.atomic_write(outdir / "spectrum.json", linalg.spectrum_to_json(bundle.spectrum))
-        print(f"wrote {outdir / 'spectrum.json'}")
     linalg.atomic_write(
         outdir / "energies.json",
         _json_text({"energies": bundle.spectrum.energies.tolist()}),
@@ -314,26 +313,21 @@ def cmd_gen(cfg: dict, outdir: Path) -> int:
     return 0
 
 
-def _run_sweep(cfg: dict, bundle: ModelBundle, times: np.ndarray):
-    chain = cfg.get("chain", engine.DEFAULT_CHAIN)
-    if chain == "biinvariant":
-        return engine.bi_invariant_trace(bundle.spectrum.energies, times), None
-    metric = _metric_for(cfg, bundle)
-    pipeline = engine.ComplexityPipeline(bundle.spectrum.energies, metric, chain)
-    return pipeline.sweep(times), pipeline
-
-
-def cmd_bound(cfg: dict, outdir: Path) -> int:
-    times = _times(cfg)
+def _sweep(cfg: dict, times: np.ndarray, outdir: Path):
+    """Build the model, solve the time grid, write bound.csv and bound_meta.json."""
     _metric_settings(cfg)
     bundle = _build_model(cfg)
-    trace, pipeline = _run_sweep(cfg, bundle, times)
-    h = _config_hash(cfg)
-    rows = [
-        f"{_fmt(t)},{_fmt(v)},{trace.method}"
-        for t, v in zip(trace.times, trace.values)
-    ]
-    linalg.atomic_write(outdir / "bound.csv", _csv_text(h, "trace", "t,c_bound,method", rows))
+    chain = cfg.get("chain", engine.DEFAULT_CHAIN)
+    if chain == "biinvariant":
+        pipeline = None
+        trace = engine.bi_invariant_trace(bundle.spectrum.energies, times)
+    else:
+        metric = _metric_for(cfg, bundle)
+        pipeline = engine.ComplexityPipeline(bundle.spectrum.energies, metric, chain)
+        trace = pipeline.sweep(times)
+    rows = [f"{_fmt(t)},{_fmt(v)},{trace.method}" for t, v in zip(trace.times, trace.values)]
+    text = _csv_text(_config_hash(cfg), "trace", "t,c_bound,method", rows)
+    linalg.atomic_write(outdir / "bound.csv", text)
     mu = pipeline.metric.mu if pipeline is not None else 1.0
     meta = _meta(
         cfg,
@@ -345,6 +339,11 @@ def cmd_bound(cfg: dict, outdir: Path) -> int:
     )
     linalg.atomic_write(outdir / "bound_meta.json", _json_text(meta))
     print(f"wrote {outdir / 'bound.csv'} ({trace.values.size} samples, method {trace.method})")
+    return bundle, trace, pipeline
+
+
+def cmd_bound(cfg: dict, outdir: Path) -> int:
+    _sweep(cfg, _times(cfg), outdir)
     return 0
 
 
@@ -401,9 +400,7 @@ def cmd_plateau(cfg: dict, outdir: Path) -> int:
         engine.plateau_window(times, window)
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"window: {exc}") from None
-    _metric_settings(cfg)
-    bundle = _build_model(cfg)
-    trace, pipeline = _run_sweep(cfg, bundle, times)
+    bundle, trace, pipeline = _sweep(cfg, times, outdir)
     stats = engine.plateau_stats(trace, window)
     if pipeline is not None:
         estimate = lattice.plateau_estimate(pipeline.lattice)
@@ -458,7 +455,7 @@ COMMANDS = {
     "bound": (cmd_bound, "complexity-bound trace over a time grid"),
     "qspec": (cmd_qspec, "eigenvalues of the nonlocality matrix"),
     "stats": (cmd_stats, "level-spacing statistics and KS distances"),
-    "plateau": (cmd_plateau, "late-time plateau vs Gram-Schmidt estimate"),
+    "plateau": (cmd_plateau, "bound, then the late-time plateau vs Gram-Schmidt estimate"),
     "cvp": (cmd_cvp, "solver ladder on a stored lattice instance"),
 }
 

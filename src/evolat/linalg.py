@@ -1,4 +1,4 @@
-"""Hermitian matrices, spectra, and their on-disk formats.
+"""Hermitian matrices, spectra, and the `.evlm` matrix file format.
 
 Energy spectra are kept in a normalized convention (zero mean, unit sum of
 squares) so that complexity values computed from different Hamiltonians are
@@ -7,7 +7,6 @@ directly comparable.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import tempfile
@@ -179,26 +178,3 @@ def load_matrix(path) -> np.ndarray:
             f"{path}: expected {dim * dim} entries of {size} bytes, found {len(body)} bytes"
         )
     return np.frombuffer(body, dtype=dtype).reshape((dim, dim), order="F").copy()
-
-
-def spectrum_to_json(spectrum: Spectrum) -> str:
-    payload = {
-        "dim": spectrum.dim,
-        "energies": spectrum.energies.tolist(),
-        "vectors_re": spectrum.vectors.real.tolist(),
-        "vectors_im": spectrum.vectors.imag.tolist(),
-    }
-    return json.dumps(payload)
-
-
-def spectrum_from_json(text: str) -> Spectrum:
-    """Inverse of spectrum_to_json; all-zero vectors_im gives real vectors."""
-    payload = json.loads(text)
-    energies = np.array(payload["energies"], dtype=float)
-    if payload["dim"] != energies.size:
-        raise ValueError(f"spectrum claims dim {payload['dim']} over {energies.size} energies")
-    v = np.array(payload["vectors_re"], dtype=float)
-    im = np.array(payload["vectors_im"], dtype=float)
-    if np.any(im != 0.0):
-        v = v + 1j * im
-    return Spectrum(energies, v)

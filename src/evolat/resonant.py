@@ -64,9 +64,6 @@ class FockBlock:
     def dim(self) -> int:
         return len(self.states)
 
-    def state_index(self, occupation) -> int:
-        return self._index[tuple(occupation)]
-
     def occupations(self) -> np.ndarray:
         return np.array(self.states, dtype=np.int64)
 
@@ -96,9 +93,7 @@ def enumerate_block(n_particles: int, total_level: int) -> FockBlock:
             occ[p] += 1
         occ[0] = n_particles - len(parts)
         states.append(tuple(occ))
-    block = FockBlock(n_particles, total_level, tuple(states))
-    object.__setattr__(block, "_index", {s: i for i, s in enumerate(states)})
-    return block
+    return FockBlock(n_particles, total_level, tuple(states))
 
 
 @dataclass(frozen=True)

@@ -209,6 +209,7 @@ def build_block_hamiltonian_oracle(
     m_lvl = block.total_level
     d = block.dim
     h = np.zeros((d, d))
+    index = {state: i for i, state in enumerate(block.states)}
     quads = [
         (n, s - n, k, s - k)
         for s in range(m_lvl + 1)
@@ -231,7 +232,7 @@ def build_block_hamiltonian_oracle(
             f *= np.sqrt(work[n] + 1.0)
             work[n] += 1
             c = scheme.quartic(n, m, k, l, m_lvl)
-            h[block.state_index(work), b_idx] += 0.5 * c * f
+            h[index[tuple(work)], b_idx] += 0.5 * c * f
     h += np.diag(scheme.diagonal_shift(block))
     return HermitianMatrix(h)
 
@@ -349,6 +350,7 @@ def build_block_hamiltonian_loop(block: FockBlock, scheme: CouplingScheme) -> He
     m_lvl = block.total_level
     d = block.dim
     h = np.zeros((d, d))
+    index = {state: i for i, state in enumerate(block.states)}
     for b_idx, occ in enumerate(block.states):
         occupied = [n for n, c in enumerate(occ) if c > 0]
         for ki in range(len(occupied)):
@@ -373,7 +375,7 @@ def build_block_hamiltonian_loop(block: FockBlock, scheme: CouplingScheme) -> He
                     out = list(mid)
                     out[n] += 1
                     out[m] += 1
-                    a_idx = block.state_index(out)
+                    a_idx = index[tuple(out)]
                     weight = (2 - (n == m)) * (2 - (k == l))
                     c = scheme.quartic(n, m, k, l, m_lvl)
                     h[a_idx, b_idx] += 0.5 * weight * c * amp_ann * amp_cre

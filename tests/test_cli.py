@@ -105,6 +105,23 @@ def test_bad_metric_setting_refused_before_the_model(tmp_path, monkeypatch, comm
         run(tmp_path, command, cfg, "bad_setting")
 
 
+@pytest.mark.parametrize("command", ["bound", "plateau", "qspec"])
+@pytest.mark.parametrize("threshold", [0, 9])
+def test_syk_threshold_outside_modes_refused_before_the_model(tmp_path, monkeypatch, command,
+                                                              threshold):
+    """SYK locality counts monomials of weight 1 to n_modes (here 8)."""
+    monkeypatch.setattr(cli, "_build_model", refuse_model)
+    cfg = {
+        "model": {"family": "syk", "variant": "free", "n_modes": 8, "seed": 1},
+        "threshold": threshold,
+        "mu": "dim",
+        "chain": "babai",
+        "times": {"start": 100.0, "stop": 200.0, "count": 11},
+    }
+    with pytest.raises(SystemExit, match=rf"threshold in \[1, 8\]; got .*, {threshold}$"):
+        run(tmp_path, command, cfg, "bad_syk_threshold")
+
+
 @pytest.mark.parametrize("window", [
     [2000.0, 2100.0], [2000.0, 4000.0, 1000.0], [1000.0, 3000.0], [2000.0], ["a", "b"],
 ], ids=["3-samples", "3-strided-samples", "outside-grid", "one-entry", "not-numbers"])
@@ -137,7 +154,7 @@ def test_gen_synthetic_artifacts(tmp_path):
     assert meta["dim"] == 40
     assert meta["model"] == "synthetic-uniform-40"
     assert meta["config_hash"] == _config_hash(cfg)
-    assert (out / "spectrum.json").exists()
+    assert not (out / "spectrum.json").exists()
     # synthetic spectra carry no operator content
     assert not (out / "hamiltonian.evlm").exists()
 
@@ -357,6 +374,25 @@ def test_plateau_estimate_reuses_pipeline_reduction(tmp_path, monkeypatch, chain
     out = run(tmp_path, "plateau", cfg, "plateau_reuse")
     meta = json.load(open(out / "plateau.json"))
     assert meta["estimate"] == lattice.plateau_estimate(pipeline.lattice)
+
+
+PLATEAU_LLL = {
+    "model": {"family": "resonant", "kind": "truncated", "n_particles": 8, "total_level": 8},
+    "threshold": 4,
+    "mu": "dim",
+    "chain": "lll+babai+greedy",
+    "times": {"start": 20000.0, "stop": 24000.0, "count": 21},
+}
+
+
+@pytest.mark.parametrize("cfg", [PLATEAU_LLL, SYNTH_TRACE], ids=["resonant-lll", "biinvariant"])
+def test_plateau_writes_the_bound_trace(tmp_path, cfg):
+    """One plateau run leaves the same bound.csv and bound_meta.json as bound."""
+    bound = run(tmp_path, "bound", cfg, "bound_alone")
+    plateau = run(tmp_path, "plateau", cfg, "plateau_too")
+    for name in ("bound.csv", "bound_meta.json"):
+        assert (plateau / name).read_bytes() == (bound / name).read_bytes(), name
+    assert (plateau / "plateau.json").is_file()
 
 
 # ---------------------------------------------------------------- cvp

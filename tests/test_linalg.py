@@ -1,5 +1,4 @@
 import errno
-import json
 import os
 
 import numpy as np
@@ -13,8 +12,6 @@ from evolat.linalg import (
     normalize_energies,
     normalize_spectrum,
     save_matrix,
-    spectrum_from_json,
-    spectrum_to_json,
 )
 
 
@@ -197,27 +194,3 @@ def test_load_matrix_rejects_partial_entry(tmp_path):
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(ValueError, match=r"m\.evlm: expected 9 entries of 8 bytes, found 69 bytes"):
         load_matrix(path)
-
-
-def test_spectrum_json_rejects_wrong_dim():
-    payload = json.loads(spectrum_to_json(eigendecompose(HermitianMatrix(np.eye(2)))))
-    payload["dim"] = 5
-    with pytest.raises(ValueError, match="dim 5 over 2 energies"):
-        spectrum_from_json(json.dumps(payload))
-
-
-def test_spectrum_json_round_trip():
-    m = HermitianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    s = eigendecompose(m)
-    back = spectrum_from_json(spectrum_to_json(s))
-    assert np.abs(back.energies - s.energies).max() < 1e-15
-    assert np.abs(back.vectors - s.vectors).max() < 1e-15
-    assert s.vectors.dtype == back.vectors.dtype == np.float64
-
-
-def test_spectrum_json_complex_vectors():
-    a = np.array([[1.0, 1j], [-1j, 2.0]])
-    s = eigendecompose(HermitianMatrix(a))
-    back = spectrum_from_json(spectrum_to_json(s))
-    assert np.abs(back.vectors - s.vectors).max() < 1e-15
-    assert back.vectors.dtype == np.complex128

@@ -74,12 +74,6 @@ def test_block_partition_order_is_decreasing_lex():
     assert parts == sorted(parts, reverse=True)
 
 
-def test_state_index_round_trip():
-    blk = enumerate_block(4, 6)
-    for i, s in enumerate(blk.states):
-        assert blk.state_index(s) == i
-
-
 def test_enumerate_block_guards():
     with pytest.raises(ValueError):
         enumerate_block(-1, 3)
