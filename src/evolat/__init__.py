@@ -27,10 +27,8 @@ from .linalg import (
     HermitianMatrix,
     Spectrum,
     eigendecompose,
-    load_matrix,
     normalize_energies,
     normalize_spectrum,
-    save_matrix,
 )
 from .spectral import UnfoldedSpacings, ks_distance, poisson_density, unfold, wigner_surmise
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -200,10 +201,17 @@ def _build_model(cfg: dict) -> ModelBundle:
     mc = cfg.get("model")
     if not isinstance(mc, dict) or "family" not in mc:
         raise SystemExit("config needs a model object with a family field")
-    builders = {"syk": _build_syk, "resonant": _build_resonant, "synthetic": _build_synthetic}
-    builder = builders.get(mc["family"])
-    if builder is None:
+    builders = {
+        "syk": (_build_syk, ("variant", "n_modes")),
+        "resonant": (_build_resonant, ("kind", "n_particles", "total_level")),
+        "synthetic": (_build_synthetic, ("dim",)),
+    }
+    if mc["family"] not in builders:
         raise SystemExit(f"unknown model family {mc['family']!r}")
+    builder, keys = builders[mc["family"]]
+    missing = [key for key in keys if key not in mc]
+    if missing:
+        raise SystemExit(f"a {mc['family']} model needs {', '.join(missing)}")
     return builder(mc)
 
 
@@ -218,7 +226,8 @@ def _metric_settings(cfg: dict, dim: int = 1) -> tuple:
     """(mu, nu, threshold) at dimension dim; dim = 1 checks them up front."""
     mu, nu = cfg.get("mu", 1.0), cfg.get("nu", 0.0)
     mc = cfg.get("model")
-    syk_modes = mc.get("n_modes") if isinstance(mc, dict) and mc.get("family") == "syk" else None
+    family = mc.get("family") if isinstance(mc, dict) else None
+    syk_modes = mc.get("n_modes") if family == "syk" else None
     try:
         mu = float(dim) if mu == "dim" else float(mu)
         nu = engine.SU_NU_FACTOR * mu if nu == "su" else float(nu)
@@ -230,7 +239,15 @@ def _metric_settings(cfg: dict, dim: int = 1) -> tuple:
     if not (1.0 <= mu < np.inf and 0.0 <= nu < np.inf and lo <= thr <= hi):
         raise SystemExit(f"need finite mu >= 1 and nu >= 0, threshold in [{lo}, {hi}]; "
                          f"got {mu}, {nu}, {thr}")
+    if family == "synthetic" and (mu != 1.0 or cfg.get("mu") == "dim"):
+        raise SystemExit("a synthetic model has no locality structure; use mu = 1")
     return mu, nu, thr
+
+
+def _nonlocality(bundle: ModelBundle, thr: int) -> engine.NonlocalityMatrix:
+    if bundle.classifier is None:
+        raise SystemExit(f"model {bundle.name} has no locality structure")
+    return engine.nonlocality_matrix(bundle.spectrum, bundle.classifier(thr))
 
 
 def _metric_for(cfg: dict, bundle: ModelBundle) -> engine.ComplexityMetric:
@@ -238,10 +255,7 @@ def _metric_for(cfg: dict, bundle: ModelBundle) -> engine.ComplexityMetric:
     mu, nu, thr = _metric_settings(cfg, bundle.spectrum.dim)
     if mu == 1.0:  # Q carries weight mu - 1, so it is not built
         return engine.ComplexityMetric(nu=nu)
-    if bundle.classifier is None:
-        raise SystemExit(f"model {bundle.name} has no locality structure; use mu = 1")
-    q = engine.nonlocality_matrix(bundle.spectrum, bundle.classifier(thr))
-    return engine.ComplexityMetric(mu=mu, nu=nu, q=q)
+    return engine.ComplexityMetric(mu=mu, nu=nu, q=_nonlocality(bundle, thr))
 
 
 def _times(cfg: dict) -> np.ndarray:
@@ -249,13 +263,16 @@ def _times(cfg: dict) -> np.ndarray:
     tc = cfg.get("times")
     if tc is None:
         raise SystemExit("config needs a times object (start/stop/count or grid)")
-    if "grid" in tc:
-        times = np.asarray(tc["grid"], dtype=float)
-    else:
-        count = int(tc["count"])
-        if count < 1:
-            raise SystemExit(f"times: count must be at least 1, got {count}")
-        times = np.linspace(float(tc["start"]), float(tc["stop"]), count)
+    try:
+        if "grid" in tc:
+            times = np.asarray(tc["grid"], dtype=float)
+        else:
+            count = int(tc["count"])
+            if count < 1:
+                raise SystemExit(f"times: count must be at least 1, got {count}")
+            times = np.linspace(float(tc["start"]), float(tc["stop"]), count)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SystemExit(f"times: {exc!r}") from None
     if times.ndim != 1 or times.size == 0:
         raise SystemExit(f"times: the grid must be a non-empty list, got shape {times.shape}")
     if not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0.0):
@@ -293,11 +310,13 @@ def cmd_gen(cfg: dict, outdir: Path) -> int:
     bundle = _build_model(cfg)
     meta = _meta(cfg, model=bundle.name, dim=bundle.spectrum.dim, normalized=True)
     if bundle.hamiltonian is not None:
-        path = outdir / "hamiltonian.evlm"
+        path = outdir / "hamiltonian.npy"
         entries = bundle.hamiltonian.entries
         if np.abs(entries.imag).max() == 0.0:
             entries = entries.real
-        linalg.save_matrix(path, entries)
+        buf = io.BytesIO()
+        np.save(buf, entries)
+        linalg.atomic_write(path, buf.getbuffer())
         meta["hamiltonian_file"] = path.name
         print(f"wrote {path}")
     linalg.atomic_write(
@@ -316,9 +335,14 @@ def cmd_gen(cfg: dict, outdir: Path) -> int:
 def _sweep(cfg: dict, times: np.ndarray, outdir: Path):
     """Build the model, solve the time grid, write bound.csv and bound_meta.json."""
     _metric_settings(cfg)
-    bundle = _build_model(cfg)
     chain = cfg.get("chain", engine.DEFAULT_CHAIN)
-    if chain == "biinvariant":
+    try:
+        chain = None if chain == "biinvariant" else engine.SolverChain.parse(chain)
+    except (AttributeError, ValueError) as exc:
+        raise SystemExit(f"chain: {exc}") from None
+    bundle = _build_model(cfg)
+    bundle.hamiltonian = None  # only gen writes H; Q needs the eigenvectors alone
+    if chain is None:
         pipeline = None
         trace = engine.bi_invariant_trace(bundle.spectrum.energies, times)
     else:
@@ -350,9 +374,8 @@ def cmd_bound(cfg: dict, outdir: Path) -> int:
 def cmd_qspec(cfg: dict, outdir: Path) -> int:
     thr = _metric_settings(cfg)[2]
     bundle = _build_model(cfg)
-    if bundle.classifier is None:
-        raise SystemExit(f"model {bundle.name} has no locality structure")
-    q = engine.nonlocality_matrix(bundle.spectrum, bundle.classifier(thr))
+    bundle.hamiltonian = None  # only gen writes H; Q needs the eigenvectors alone
+    q = _nonlocality(bundle, thr)
     h = _config_hash(cfg)
     rows = [f"{i},{_fmt(v)}" for i, v in enumerate(q.eigenvalues)]
     linalg.atomic_write(outdir / "qspec.csv", _csv_text(h, "qspec", "index,eigenvalue", rows))

@@ -1,4 +1,4 @@
-"""Hermitian matrices, spectra, and the `.evlm` matrix file format.
+"""Hermitian matrices, spectra, and atomic file writes.
 
 Energy spectra are kept in a normalized convention (zero mean, unit sum of
 squares) so that complexity values computed from different Hamiltonians are
@@ -8,17 +8,11 @@ directly comparable.
 from __future__ import annotations
 
 import os
-import struct
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-HEADER_MAGIC = b"EVLM"
-HEADER_SIZE = 16
-_KIND_FLOAT64 = 1
-_KIND_COMPLEX128 = 2
 
 HERMITICITY_TOL = 1e-12
 ORTHONORMALITY_TOL = 1e-10
@@ -125,26 +119,8 @@ def normalize_spectrum(spectrum: Spectrum) -> Spectrum:
     return Spectrum(normalize_energies(spectrum.energies), spectrum.vectors)
 
 
-def save_matrix(path, array: np.ndarray) -> None:
-    """Write a float64 or complex128 square matrix with a 16-byte header.
-
-    Layout: 4 bytes magic "EVLM", uint32 dimension, uint32 element kind
-    (1 = float64, 2 = complex128), 4 reserved bytes, then the raw entries
-    in column-major order.
-    """
-    m = np.asarray(array)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("only square matrices are supported")
-    if np.iscomplexobj(m):
-        kind, m = _KIND_COMPLEX128, m.astype(np.complex128)
-    else:
-        kind, m = _KIND_FLOAT64, m.astype(np.float64)
-    header = struct.pack("<4sII4x", HEADER_MAGIC, m.shape[0], kind)
-    atomic_write(path, header, m.tobytes(order="F"))
-
-
 def atomic_write(path, *chunks) -> None:
-    """Write str or bytes chunks to path through a temporary file in the
+    """Write str or bytes-like chunks to path through a temporary file in the
     same directory, renamed over path once complete: a failed write leaves
     the earlier file, if any, as it was and no temporary file behind."""
     path = Path(path)
@@ -158,23 +134,3 @@ def atomic_write(path, *chunks) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(HEADER_SIZE)
-        if len(header) != HEADER_SIZE:
-            raise ValueError(f"{path}: truncated header")
-        magic, dim, kind = struct.unpack("<4sII4x", header)
-        if magic != HEADER_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        dtype = {_KIND_FLOAT64: np.float64, _KIND_COMPLEX128: np.complex128}.get(kind)
-        if dtype is None:
-            raise ValueError(f"{path}: unknown element kind {kind}")
-        body = fh.read()
-    size = np.dtype(dtype).itemsize
-    if len(body) != dim * dim * size:
-        raise ValueError(
-            f"{path}: expected {dim * dim} entries of {size} bytes, found {len(body)} bytes"
-        )
-    return np.frombuffer(body, dtype=dtype).reshape((dim, dim), order="F").copy()

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -89,8 +90,52 @@ def test_bad_time_grid_refused_before_the_model(tmp_path, monkeypatch, command, 
         run(tmp_path, command, dict(SYNTH_TRACE, times=times), "bad_times")
 
 
+@pytest.mark.parametrize("command", ["bound", "plateau"])
+@pytest.mark.parametrize("times", [
+    {"start": 1.0, "count": 20},
+    {"grid": "abc"},
+    {"start": 1.0, "stop": 2.0, "count": "many"},
+    5,
+], ids=["no-stop", "grid-not-numbers", "count-not-int", "not-an-object"])
+def test_malformed_times_refused_with_a_message(tmp_path, monkeypatch, command, times):
+    monkeypatch.setattr(cli, "_build_model", refuse_model)
+    with pytest.raises(SystemExit, match="^times: "):
+        run(tmp_path, command, dict(SYNTH_TRACE, times=times), "bad_times")
+
+
 def refuse_model(cfg):
     raise AssertionError("the model was built before the settings were checked")
+
+
+@pytest.mark.parametrize("command", ["bound", "plateau"])
+@pytest.mark.parametrize("chain", ["lll+babi", "lll+naive", 5])
+def test_bad_chain_refused_before_the_model(tmp_path, monkeypatch, command, chain):
+    monkeypatch.setattr(cli, "_build_model", refuse_model)
+    cfg = dict(SYNTH_TRACE, chain=chain)
+    with pytest.raises(SystemExit, match="^chain: "):
+        run(tmp_path, command, cfg, "bad_chain")
+
+
+@pytest.mark.parametrize("model, missing, builder", [
+    ({"family": "resonant", "n_particles": 3, "total_level": 3}, "kind",
+     (cli.resonant, "enumerate_block")),
+    ({"family": "syk", "variant": "free"}, "n_modes", (cli.syk, "build_clifford")),
+    ({"family": "synthetic", "kind": "goe"}, "dim", (np.random, "default_rng")),
+], ids=["resonant-kind", "syk-n_modes", "synthetic-dim"])
+def test_missing_model_key_is_named_before_any_array(tmp_path, monkeypatch, model, missing,
+                                                     builder):
+    monkeypatch.setattr(*builder, refuse_model)
+    with pytest.raises(SystemExit, match=f"model needs {missing}$"):
+        run(tmp_path, "gen", {"model": model}, "bad_model")
+
+
+@pytest.mark.parametrize("command", ["bound", "plateau", "qspec"])
+@pytest.mark.parametrize("mu", [2.0, "dim"])
+def test_synthetic_mu_above_one_refused_before_the_model(tmp_path, monkeypatch, command, mu):
+    monkeypatch.setattr(cli, "_build_model", refuse_model)
+    cfg = dict(SYNTH_TRACE, chain="babai", mu=mu)
+    with pytest.raises(SystemExit, match="no locality structure; use mu = 1"):
+        run(tmp_path, command, cfg, "synthetic_mu")
 
 
 @pytest.mark.parametrize("command", ["bound", "plateau", "qspec"])
@@ -156,7 +201,7 @@ def test_gen_synthetic_artifacts(tmp_path):
     assert meta["config_hash"] == _config_hash(cfg)
     assert not (out / "spectrum.json").exists()
     # synthetic spectra carry no operator content
-    assert not (out / "hamiltonian.evlm").exists()
+    assert not (out / "hamiltonian.npy").exists()
 
 
 def test_gen_resonant_block_table(tmp_path):
@@ -168,21 +213,23 @@ def test_gen_resonant_block_table(tmp_path):
     assert lines[1] == "0,3,2 0 0 1"
     assert lines[2] == "1,2+1,1 1 1 0"
     assert lines[3] == "2,1+1+1,0 3 0 0"
-    h = linalg.load_matrix(out / "hamiltonian.evlm")
+    h = np.load(out / "hamiltonian.npy")
     assert h.shape == (3, 3)
+    assert h.dtype == np.float64
     energies = np.array(json.load(open(out / "energies.json"))["energies"])
     np.testing.assert_allclose(
         energies, linalg.normalize_energies(np.linalg.eigvalsh(h)), atol=1e-12
     )
     meta = json.load(open(out / "gen_meta.json"))
-    assert meta["hamiltonian_file"] == "hamiltonian.evlm"
+    assert meta["hamiltonian_file"] == "hamiltonian.npy"
 
 
 def test_gen_syk_round_trip(tmp_path):
     cfg = {"model": {"family": "syk", "variant": "free", "n_modes": 6, "seed": 3}}
     out = run(tmp_path, "gen", cfg, "gen_syk")
-    h = linalg.load_matrix(out / "hamiltonian.evlm")
+    h = np.load(out / "hamiltonian.npy")
     assert h.shape == (8, 8)
+    assert h.dtype == np.complex128
     np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
     energies = np.array(json.load(open(out / "energies.json"))["energies"])
     np.testing.assert_allclose(
@@ -287,6 +334,39 @@ def test_unit_cost_skips_the_nonlocality_matrix(tmp_path, monkeypatch):
     }
     out = run(tmp_path, "bound", cfg, "bound_unit")
     assert (out / "bound.csv").is_file()
+
+
+@pytest.mark.parametrize("command", ["bound", "plateau", "qspec"])
+@pytest.mark.parametrize("model", [
+    {"family": "resonant", "kind": "random", "n_particles": 6, "total_level": 6, "seed": 2},
+    {"family": "syk", "variant": "chaotic4", "n_modes": 8, "seed": 1},
+], ids=["resonant", "syk"])
+def test_hamiltonian_released_before_the_nonlocality_matrix(tmp_path, monkeypatch, command,
+                                                            model):
+    """Only gen writes H: the commands that build Q let it go once the
+    spectrum is known, so H and Q are never held at once."""
+    refs = []
+    eigendecompose, nonlocality_matrix = linalg.eigendecompose, engine.nonlocality_matrix
+
+    def keep_weakref(h):
+        refs.extend([weakref.ref(h), weakref.ref(h.entries)])
+        return eigendecompose(h)
+
+    def check_released(*args):
+        assert refs and all(ref() is None for ref in refs), "H is still alive"
+        return nonlocality_matrix(*args)
+
+    monkeypatch.setattr(linalg, "eigendecompose", keep_weakref)
+    monkeypatch.setattr(engine, "nonlocality_matrix", check_released)
+    cfg = {
+        "model": model,
+        "threshold": 4,
+        "mu": "dim",
+        "chain": "babai",
+        "times": {"start": 100.0, "stop": 200.0, "count": 11},
+    }
+    run(tmp_path, command, cfg, "released")
+    assert len(refs) == 2
 
 
 # ---------------------------------------------------------------- qspec

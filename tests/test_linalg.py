@@ -7,11 +7,10 @@ import pytest
 from evolat.linalg import (
     HermitianMatrix,
     Spectrum,
+    atomic_write,
     eigendecompose,
-    load_matrix,
     normalize_energies,
     normalize_spectrum,
-    save_matrix,
 )
 
 
@@ -114,35 +113,11 @@ def test_spectrum_rejects_nonunitary_vectors():
         Spectrum(energies=np.array([0.0, 1.0]), vectors=np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_matrix_file_round_trip(tmp_path, dtype):
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((7, 7)).astype(dtype)
-    if dtype is np.complex128:
-        a = a + 1j * rng.standard_normal((7, 7))
-        a = (a + a.conj().T) / 2
-    else:
-        a = (a + a.T) / 2
-    path = tmp_path / "m.evlm"
-    save_matrix(path, a)
-    back = load_matrix(path)
-    assert back.dtype == np.dtype(dtype)
-    assert np.array_equal(back, a)
-
-
-def test_matrix_file_header(tmp_path):
-    path = tmp_path / "m.evlm"
-    save_matrix(path, np.eye(4))
-    raw = path.read_bytes()
-    assert raw[:4] == b"EVLM"
-    assert len(raw) == 16 + 4 * 4 * 8
-
-
-def test_save_matrix_failing_part_way_keeps_earlier_file(tmp_path, monkeypatch):
-    """A write that fails after its header, as on a full disk, leaves the
+def test_atomic_write_failing_part_way_keeps_earlier_file(tmp_path, monkeypatch):
+    """A write that fails after its first chunk, as on a full disk, leaves the
     earlier file whole and no temporary file behind."""
-    path = tmp_path / "m.evlm"
-    save_matrix(path, np.eye(3))
+    path = tmp_path / "m.txt"
+    atomic_write(path, "head", b"body")
     before = path.read_bytes()
     fdopen = os.fdopen
 
@@ -164,33 +139,6 @@ def test_save_matrix_failing_part_way_keeps_earlier_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fdopen", FullDisk)
     with pytest.raises(OSError, match="No space left"):
-        save_matrix(path, 2.0 * np.eye(3))
+        atomic_write(path, "new head", b"new body")
     assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["m.evlm"]
-
-
-def test_load_matrix_rejects_bad_magic(tmp_path):
-    path = tmp_path / "m.evlm"
-    save_matrix(path, np.eye(2))
-    raw = bytearray(path.read_bytes())
-    raw[0] = ord("X")
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError):
-        load_matrix(path)
-
-
-def test_load_matrix_rejects_truncated_payload(tmp_path):
-    path = tmp_path / "m.evlm"
-    save_matrix(path, np.eye(3))
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ValueError):
-        load_matrix(path)
-
-
-def test_load_matrix_rejects_partial_entry(tmp_path):
-    """A body cut inside an entry names the file, like any short body."""
-    path = tmp_path / "m.evlm"
-    save_matrix(path, np.eye(3))
-    path.write_bytes(path.read_bytes()[:-3])
-    with pytest.raises(ValueError, match=r"m\.evlm: expected 9 entries of 8 bytes, found 69 bytes"):
-        load_matrix(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.txt"]
