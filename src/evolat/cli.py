@@ -131,11 +131,14 @@ class ModelBundle:
 
 
 def _build_syk(mc: dict) -> ModelBundle:
-    n = int(mc["n_modes"])
+    n = mc["n_modes"]
     variant = mc["variant"]
     eps = float(mc.get("epsilon", 1.0))
-    rng = np.random.default_rng(int(mc.get("seed", 0)))
-    rep = syk.build_clifford(n)
+    rng = np.random.default_rng(mc.get("seed", 0))
+    try:
+        rep = syk.build_clifford(n)
+    except ValueError as exc:
+        raise SystemExit(f"syk n_modes: {exc}") from None
     j2 = syk.sample_quadratic_couplings(n, rng)
     if variant == "free":
         h = syk.free_syk(rep, j2)
@@ -159,18 +162,21 @@ def _build_syk(mc: dict) -> ModelBundle:
 
 
 def _build_resonant(mc: dict) -> ModelBundle:
-    n, m = int(mc["n_particles"]), int(mc["total_level"])
+    n, m = mc["n_particles"], mc["total_level"]
     kind = mc["kind"]
     try:
         scheme = resonant.CouplingScheme(
             kind,
             alpha=float(mc.get("alpha", 1.0)) if kind == "alpha" else 0.0,
             delta_coeff=float(mc.get("delta_coeff", 1.0)) if kind == "delta" else 0.0,
-            seed=int(mc.get("seed", 0)) if kind == "random" else None,
+            seed=mc.get("seed", 0) if kind == "random" else None,
         )
     except ValueError as exc:
         raise SystemExit(f"resonant coupling: {exc}") from None
-    block = resonant.enumerate_block(n, m)
+    try:
+        block = resonant.enumerate_block(n, m)
+    except ValueError as exc:
+        raise SystemExit(f"resonant block: {exc}") from None
     h = resonant.build_block_hamiltonian(block, scheme)
     spec = linalg.normalize_spectrum(linalg.eigendecompose(h))
     return ModelBundle(
@@ -183,8 +189,10 @@ def _build_resonant(mc: dict) -> ModelBundle:
 
 
 def _build_synthetic(mc: dict) -> ModelBundle:
-    dim = int(mc["dim"])
-    rng = np.random.default_rng(int(mc.get("seed", 0)))
+    dim = mc["dim"]
+    if dim < 2:
+        raise SystemExit(f"a synthetic model needs dim >= 2, got {dim}")
+    rng = np.random.default_rng(mc.get("seed", 0))
     kind = mc.get("kind", "uniform")
     if kind == "uniform":
         energies = np.sort(rng.uniform(0.0, 1.0, size=dim))
@@ -212,22 +220,26 @@ def _build_model(cfg: dict) -> ModelBundle:
     missing = [key for key in keys if key not in mc]
     if missing:
         raise SystemExit(f"a {mc['family']} model needs {', '.join(missing)}")
+    for key in mc.keys() & {"n_particles", "total_level", "n_modes", "dim", "seed"}:
+        if type(mc[key]) is not int or mc[key] < 0:
+            raise SystemExit(f"model {key} must be a non-negative integer, got {mc[key]!r}")
     return builder(mc)
 
 
-def _default_threshold(cfg: dict) -> int:
+def _family(cfg: dict):
     mc = cfg.get("model")
-    if isinstance(mc, dict) and mc.get("family") == "syk" and mc.get("variant") != "free":
-        return 4
-    return 2
+    return mc.get("family") if isinstance(mc, dict) else None
+
+
+def _default_threshold(cfg: dict) -> int:
+    return 4 if _family(cfg) == "syk" and cfg["model"].get("variant") != "free" else 2
 
 
 def _metric_settings(cfg: dict, dim: int = 1) -> tuple:
     """(mu, nu, threshold) at dimension dim; dim = 1 checks them up front."""
     mu, nu = cfg.get("mu", 1.0), cfg.get("nu", 0.0)
-    mc = cfg.get("model")
-    family = mc.get("family") if isinstance(mc, dict) else None
-    syk_modes = mc.get("n_modes") if family == "syk" else None
+    family = _family(cfg)
+    syk_modes = cfg["model"].get("n_modes") if family == "syk" else None
     try:
         mu = float(dim) if mu == "dim" else float(mu)
         nu = engine.SU_NU_FACTOR * mu if nu == "su" else float(nu)
@@ -244,18 +256,13 @@ def _metric_settings(cfg: dict, dim: int = 1) -> tuple:
     return mu, nu, thr
 
 
-def _nonlocality(bundle: ModelBundle, thr: int) -> engine.NonlocalityMatrix:
-    if bundle.classifier is None:
-        raise SystemExit(f"model {bundle.name} has no locality structure")
-    return engine.nonlocality_matrix(bundle.spectrum, bundle.classifier(thr))
-
-
 def _metric_for(cfg: dict, bundle: ModelBundle) -> engine.ComplexityMetric:
     """Resolve the metric from mu/nu/threshold settings."""
     mu, nu, thr = _metric_settings(cfg, bundle.spectrum.dim)
     if mu == 1.0:  # Q carries weight mu - 1, so it is not built
         return engine.ComplexityMetric(nu=nu)
-    return engine.ComplexityMetric(mu=mu, nu=nu, q=_nonlocality(bundle, thr))
+    q = engine.nonlocality_matrix(bundle.spectrum, bundle.classifier(thr))
+    return engine.ComplexityMetric(mu=mu, nu=nu, q=q)
 
 
 def _times(cfg: dict) -> np.ndarray:
@@ -342,12 +349,13 @@ def _sweep(cfg: dict, times: np.ndarray, outdir: Path):
         raise SystemExit(f"chain: {exc}") from None
     bundle = _build_model(cfg)
     bundle.hamiltonian = None  # only gen writes H; Q needs the eigenvectors alone
+    metric = None if chain is None else _metric_for(cfg, bundle)
+    energies, bundle.spectrum = bundle.spectrum.energies, None  # Q was V's last reader
     if chain is None:
         pipeline = None
-        trace = engine.bi_invariant_trace(bundle.spectrum.energies, times)
+        trace = engine.bi_invariant_trace(energies, times)
     else:
-        metric = _metric_for(cfg, bundle)
-        pipeline = engine.ComplexityPipeline(bundle.spectrum.energies, metric, chain)
+        pipeline = engine.ComplexityPipeline(energies, metric, chain)
         trace = pipeline.sweep(times)
     rows = [f"{_fmt(t)},{_fmt(v)},{trace.method}" for t, v in zip(trace.times, trace.values)]
     text = _csv_text(_config_hash(cfg), "trace", "t,c_bound,method", rows)
@@ -356,14 +364,14 @@ def _sweep(cfg: dict, times: np.ndarray, outdir: Path):
     meta = _meta(
         cfg,
         model=bundle.name,
-        dim=bundle.spectrum.dim,
+        dim=energies.size,
         method=trace.method,
-        ceiling=engine.complexity_ceiling(mu, bundle.spectrum.dim),
+        ceiling=engine.complexity_ceiling(mu, energies.size),
         max_value=float(trace.values.max()),
     )
     linalg.atomic_write(outdir / "bound_meta.json", _json_text(meta))
     print(f"wrote {outdir / 'bound.csv'} ({trace.values.size} samples, method {trace.method})")
-    return bundle, trace, pipeline
+    return bundle.name, energies.size, trace, pipeline
 
 
 def cmd_bound(cfg: dict, outdir: Path) -> int:
@@ -373,9 +381,11 @@ def cmd_bound(cfg: dict, outdir: Path) -> int:
 
 def cmd_qspec(cfg: dict, outdir: Path) -> int:
     thr = _metric_settings(cfg)[2]
+    if _family(cfg) == "synthetic":
+        raise SystemExit("a synthetic model has no locality structure, so no Q spectrum")
     bundle = _build_model(cfg)
     bundle.hamiltonian = None  # only gen writes H; Q needs the eigenvectors alone
-    q = _nonlocality(bundle, thr)
+    q = engine.nonlocality_matrix(bundle.spectrum, bundle.classifier(thr))
     h = _config_hash(cfg)
     rows = [f"{i},{_fmt(v)}" for i, v in enumerate(q.eigenvalues)]
     linalg.atomic_write(outdir / "qspec.csv", _csv_text(h, "qspec", "index,eigenvalue", rows))
@@ -423,15 +433,15 @@ def cmd_plateau(cfg: dict, outdir: Path) -> int:
         engine.plateau_window(times, window)
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"window: {exc}") from None
-    bundle, trace, pipeline = _sweep(cfg, times, outdir)
+    name, dim, trace, pipeline = _sweep(cfg, times, outdir)
     stats = engine.plateau_stats(trace, window)
     if pipeline is not None:
         estimate = lattice.plateau_estimate(pipeline.lattice)
     else:
-        estimate = float(np.pi * np.sqrt(bundle.spectrum.dim / 3.0))
+        estimate = float(np.pi * np.sqrt(dim / 3.0))
     meta = _meta(
         cfg,
-        model=bundle.name,
+        model=name,
         window=list(window),
         mean=stats.mean,
         variance=stats.variance,

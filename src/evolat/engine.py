@@ -17,7 +17,7 @@ handled by the solvers in `lattice`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -36,7 +36,8 @@ AUDIT_TOL = 1e-8
 IMAG_TOL = 1e-8
 # the special-unitary restriction's nu, per unit of mu
 SU_NU_FACTOR = 1e3
-# working-set budget for one block of local diagonals while it is built
+# working-set budget for one block of local diagonals while it is built,
+# above block_rows' floor of dim // 2 rows
 Q_BLOCK_BYTES = 32 * 2**20
 
 
@@ -47,16 +48,19 @@ class LocalityClassifier(Protocol):
     local_diagonals returns an iterable of real 2-D blocks of shape
     (rows, dim); over all blocks, each row is <n|T_alpha|n> over eigenstates
     n for one T_alpha.  Blocks are built on demand, so the whole
-    (n_local, dim) array never exists; block_rows sizes them to
-    Q_BLOCK_BYTES."""
+    (n_local, dim) array never exists; block_rows sizes them, to
+    Q_BLOCK_BYTES above a floor of dim // 2 rows."""
 
     def local_diagonals(self, spectrum: Spectrum) -> Iterable[np.ndarray]: ...
 
 
 def block_rows(dim: int, bytes_per_entry: int) -> int:
-    """Rows of a diagonal block of width dim whose working set, at
-    bytes_per_entry bytes per entry, fits in Q_BLOCK_BYTES."""
-    return max(1, Q_BLOCK_BYTES // (bytes_per_entry * dim))
+    """Rows of a diagonal block of width dim: as many as fit in Q_BLOCK_BYTES
+    at bytes_per_entry bytes per entry, but never fewer than dim // 2.  numpy
+    runs a.T @ a as one syrk and then mirrors the triangle by a strided copy,
+    a fixed O(dim^2) cost per product (8-11 ms at dim = 1575 on a 2-core
+    host) that only products of many rows amortize."""
+    return max(1, dim // 2, Q_BLOCK_BYTES // (bytes_per_entry * dim))
 
 
 def real_block(z: np.ndarray) -> np.ndarray:
@@ -107,55 +111,23 @@ class NonlocalityMatrix:
         return float(np.abs(self.entries @ np.asarray(energies, float)).max())
 
 
-def gram_batches(blocks: Iterable[np.ndarray], dim: int) -> Iterator[np.ndarray]:
-    """A classifier's blocks, checked, made real and regrouped for Gram
-    products.
-
-    numpy runs a.T @ a as one syrk and then mirrors the triangle by a strided
-    copy, a fixed O(dim^2) cost per product (8-11 ms at dim = 1575 on a
-    2-core host) that only products of many rows amortize.  A block of at
-    least dim // 2 rows passes through as it is; smaller ones are copied, in
-    order, into one staging array of dim // 2 rows (half the size of Q),
-    which is yielded each time it fills and once more at the end.  A yielded
-    array is only valid until the next one is asked for.
-    """
-    rows = max(1, dim // 2)
-    stage, filled = None, 0
-    for z in blocks:
-        z = np.ascontiguousarray(real_block(np.asarray(z)), dtype=np.float64)
-        if z.ndim != 2 or z.shape[1] != dim:
-            raise ValueError(
-                f"classifier yielded a block of shape {z.shape} for dim {dim}; "
-                "expected 2-D blocks of width dim"
-            )
-        if z.shape[0] >= rows:
-            yield z
-        elif z.shape[0]:
-            if stage is None:
-                stage = np.empty((rows, dim))
-            take = min(rows - filled, z.shape[0])
-            stage[filled : filled + take] = z[:take]
-            filled += take
-            if filled == rows:  # z has fewer than rows rows, so its rest fits
-                yield stage
-                filled = z.shape[0] - take
-                stage[:filled] = z[take:]
-        del z  # release the block before the next one is built
-    if filled:
-        yield stage[:filled]
-
-
 def nonlocality_matrix(spectrum: Spectrum, classifier: LocalityClassifier) -> NonlocalityMatrix:
     """Build Q from a spectrum and a locality classifier.
 
-    Q = I - sum_alpha z_alpha z_alpha^T is accumulated one batch of rows at a
+    Q = I - sum_alpha z_alpha z_alpha^T is accumulated one block of rows at a
     time, so memory stays at a few dim x dim arrays plus one block.  Each
-    batch's Gram matrix is numpy's a.T @ a, exactly symmetric, so Q is too.
+    block's Gram matrix is numpy's a.T @ a, exactly symmetric, so Q is too.
     """
     d = spectrum.dim
     q = np.eye(d)
     gram = np.empty((d, d))
-    for z in gram_batches(classifier.local_diagonals(spectrum), d):
+    for z in classifier.local_diagonals(spectrum):
+        z = np.ascontiguousarray(real_block(np.asarray(z)), dtype=np.float64)
+        if z.ndim != 2 or z.shape[1] != d:
+            raise ValueError(
+                f"classifier yielded a block of shape {z.shape} for dim {d}; "
+                "expected 2-D blocks of width dim"
+            )
         np.matmul(z.T, z, out=gram)
         q -= gram
         del z  # release the block before the next one is built

@@ -7,6 +7,7 @@ directly comparable.
 
 from __future__ import annotations
 
+import copy
 import os
 import tempfile
 from dataclasses import dataclass
@@ -115,8 +116,12 @@ def normalize_energies(energies: np.ndarray) -> np.ndarray:
 
 
 def normalize_spectrum(spectrum: Spectrum) -> Spectrum:
-    """Same eigenvectors, energies shifted and scaled to the standard convention."""
-    return Spectrum(normalize_energies(spectrum.energies), spectrum.vectors)
+    """Same eigenvectors, energies shifted and scaled to the standard
+    convention.  The vectors are not checked again, and a positive scale
+    keeps the energies sorted."""
+    out = copy.copy(spectrum)
+    object.__setattr__(out, "energies", _read_only(normalize_energies(spectrum.energies)))
+    return out
 
 
 def atomic_write(path, *chunks) -> None:

@@ -129,6 +129,32 @@ def test_missing_model_key_is_named_before_any_array(tmp_path, monkeypatch, mode
         run(tmp_path, "gen", {"model": model}, "bad_model")
 
 
+@pytest.mark.parametrize("model, message", [
+    ({"family": "resonant", "kind": "truncated", "n_particles": "twelve", "total_level": 12},
+     "model n_particles must be a non-negative integer, got 'twelve'"),
+    ({"family": "resonant", "kind": "truncated", "n_particles": -1, "total_level": 4},
+     "model n_particles must be a non-negative integer, got -1"),
+    ({"family": "resonant", "kind": "truncated", "n_particles": 40, "total_level": 40},
+     "resonant block: .* exceeding the 20000-state guard"),
+    ({"family": "syk", "variant": "free", "n_modes": 13}, "syk n_modes: need an even number"),
+    ({"family": "synthetic", "kind": "goe", "dim": 1.5},
+     "model dim must be a non-negative integer, got 1.5"),
+    ({"family": "synthetic", "kind": "goe", "dim": 1}, "needs dim >= 2, got 1"),
+    ({"family": "synthetic", "kind": "goe", "dim": 4, "seed": -3},
+     "model seed must be a non-negative integer, got -3"),
+], ids=["count-not-a-number", "negative-count", "block-over-guard", "odd-modes",
+        "fractional-dim", "dim-1", "negative-seed"])
+def test_bad_model_value_refused_with_a_message(tmp_path, model, message):
+    with pytest.raises(SystemExit, match=message):
+        run(tmp_path, "gen", {"model": model}, "bad_model")
+
+
+def test_qspec_refuses_a_synthetic_model_before_building_it(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_build_model", refuse_model)
+    with pytest.raises(SystemExit, match="synthetic model has no locality structure"):
+        main(["qspec", "--preset", "stats-goe-desk", "--out", str(tmp_path)])
+
+
 @pytest.mark.parametrize("command", ["bound", "plateau", "qspec"])
 @pytest.mark.parametrize("mu", [2.0, "dim"])
 def test_synthetic_mu_above_one_refused_before_the_model(tmp_path, monkeypatch, command, mu):
@@ -367,6 +393,36 @@ def test_hamiltonian_released_before_the_nonlocality_matrix(tmp_path, monkeypatc
     }
     run(tmp_path, command, cfg, "released")
     assert len(refs) == 2
+
+
+@pytest.mark.parametrize("command", ["bound", "plateau"])
+def test_eigenvectors_released_once_q_is_built(tmp_path, monkeypatch, command):
+    """Past Q, bound and plateau read only the energies: the eigenvectors
+    are gone before the lattice is built."""
+    refs = []
+    build_model, pipeline = cli._build_model, engine.ComplexityPipeline
+
+    def keep_weakref(cfg):
+        bundle = build_model(cfg)
+        refs.append(weakref.ref(bundle.spectrum.vectors))
+        return bundle
+
+    def check_released(*args):
+        assert refs and refs[0]() is None, "the eigenvectors are still alive"
+        return pipeline(*args)
+
+    monkeypatch.setattr(cli, "_build_model", keep_weakref)
+    monkeypatch.setattr(engine, "ComplexityPipeline", check_released)
+    cfg = {
+        "model": {"family": "resonant", "kind": "random", "n_particles": 6, "total_level": 6,
+                  "seed": 2},
+        "threshold": 4,
+        "mu": "dim",
+        "chain": "babai",
+        "times": {"start": 100.0, "stop": 200.0, "count": 11},
+    }
+    run(tmp_path, command, cfg, "released")
+    assert len(refs) == 1
 
 
 # ---------------------------------------------------------------- qspec

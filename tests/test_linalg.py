@@ -103,6 +103,16 @@ def test_normalize_spectrum_keeps_vectors():
     assert abs((ns.energies ** 2).sum() - 1.0) < 1e-12
 
 
+def test_normalize_spectrum_shares_the_checked_vectors():
+    s = eigendecompose(HermitianMatrix(np.diag([1.0, 4.0, 6.0])))
+    ns = normalize_spectrum(s)
+    assert ns.vectors is s.vectors and not ns.vectors.flags.writeable
+    assert np.array_equal(s.energies, [1.0, 4.0, 6.0])
+    assert not ns.energies.flags.writeable and np.all(np.diff(ns.energies) > 0)
+    with pytest.raises(ValueError, match="degenerate"):
+        normalize_spectrum(Spectrum(np.full(3, 2.0), np.eye(3)))
+
+
 def test_spectrum_rejects_unsorted():
     with pytest.raises(ValueError):
         Spectrum(energies=np.array([1.0, 0.0]), vectors=np.eye(2))

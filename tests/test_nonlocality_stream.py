@@ -85,7 +85,7 @@ class GatheredClassifier:
         return gathered_local_diagonals(self.classifier, spectrum)
 
 
-@pytest.mark.parametrize("block_bytes", [Q_BLOCK_BYTES, 4096], ids=["one-block", "6-row-blocks"])
+@pytest.mark.parametrize("block_bytes", [Q_BLOCK_BYTES, 4096], ids=["one-block", "half-dim-blocks"])
 @pytest.mark.parametrize("vectors", ["real", "complex"])
 @pytest.mark.parametrize("kind", ["truncated", "random"])
 def test_resonant_blocks_and_q_are_the_gathered_ones_bit_for_bit(
@@ -99,6 +99,8 @@ def test_resonant_blocks_and_q_are_the_gathered_ones_bit_for_bit(
         phases = np.exp(1j * np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, spec.dim))
         spec = linalg.Spectrum(spec.energies, spec.vectors * phases)
     monkeypatch.setattr(engine, "Q_BLOCK_BYTES", block_bytes)
+    rows = engine.block_rows(spec.dim, 2 * spec.vectors.itemsize)
+    straddled = False
     for threshold in (0, 2, 4):
         cls = resonant.ResonantClassifier(block, threshold)
         new = list(cls.local_diagonals(spec))
@@ -108,38 +110,37 @@ def test_resonant_blocks_and_q_are_the_gathered_ones_bit_for_bit(
             assert x.shape == y.shape and np.array_equal(x, y)
         q = nonlocality_matrix(spec, cls).entries
         assert np.array_equal(q, nonlocality_matrix(spec, GatheredClassifier(cls)).entries)
+        # the rows are the pairs a <= b, row-major: state a owns one run of them
+        a = np.nonzero(np.triu(resonant.locality_table(block) <= threshold))[0]
+        cuts = np.arange(rows, a.size, rows)
+        straddled |= bool(np.any(a[cuts - 1] == a[cuts]))
+    assert straddled == (block_bytes < Q_BLOCK_BYTES)
+
+
+def test_block_rows_is_the_budget_above_a_floor_of_half_the_dimension(monkeypatch):
+    assert engine.block_rows(5604, 16) == 2802  # (30,30): 374 rows fit in 32 MiB
+    assert engine.block_rows(627, 16) == Q_BLOCK_BYTES // (627 * 16) == 3344
+    assert engine.block_rows(1, 16) == Q_BLOCK_BYTES // 16
+    monkeypatch.setattr(engine, "Q_BLOCK_BYTES", 0)
+    assert [engine.block_rows(d, 8) for d in (1, 2, 3, 42)] == [1, 1, 1, 21]
+    monkeypatch.setattr(engine, "Q_BLOCK_BYTES", 100 * 8 * 30)
+    assert engine.block_rows(100, 8) == 50
+    assert engine.block_rows(30, 8) == 100
 
 
 def test_resonant_blocks_respect_the_budget(monkeypatch):
-    """A small budget splits the rows over many blocks without changing Q."""
+    """Blocks hold the budget's rows, but never fewer than dim // 2 (21
+    here); splitting the rows over many blocks leaves Q unchanged."""
     block, spec = resonant_spectrum(10, "truncated")
     cls = resonant.ResonantClassifier(block, 4)
     whole = nonlocality_matrix(spec, cls)
-    monkeypatch.setattr(engine, "Q_BLOCK_BYTES", 16 * spec.dim * 8)
-    blocks = list(cls.local_diagonals(spec))
-    assert len(blocks) > 10
-    assert max(z.shape[0] for z in blocks) == 8
-    q = nonlocality_matrix(spec, cls)
-    assert np.abs(q.entries - whole.entries).max() < 1e-12
-
-
-def test_small_blocks_are_staged_without_changing_q(monkeypatch):
-    """Blocks under dim // 2 rows are copied, in order, into batches of
-    dim // 2 rows before each Gram product; Q moves by roundoff only."""
-    block, spec = resonant_spectrum(10, "truncated")
-    cls = resonant.ResonantClassifier(block, 4)
-    d = spec.dim
-    whole = nonlocality_matrix(spec, cls)
-    assert min(z.shape[0] for z in cls.local_diagonals(spec)) >= d // 2  # unstaged
-    monkeypatch.setattr(engine, "Q_BLOCK_BYTES", 4 * d * 16)
-    blocks = list(cls.local_diagonals(spec))
-    assert max(z.shape[0] for z in blocks) == 4 < d // 2
-    batches = [z.copy() for z in engine.gram_batches(iter(blocks), d)]
-    assert [z.shape[0] for z in batches[:-1]] == [d // 2] * (len(batches) - 1)
-    assert np.array_equal(np.concatenate(batches), np.concatenate(blocks))
-    q = nonlocality_matrix(spec, cls)
-    assert np.array_equal(q.entries, q.entries.T)
-    assert np.abs(q.entries - whole.entries).max() < 1e-12
+    for budget_rows in (8, 30):  # below the floor, above it
+        monkeypatch.setattr(engine, "Q_BLOCK_BYTES", budget_rows * spec.dim * 16)
+        blocks = list(cls.local_diagonals(spec))
+        assert len(blocks) > 10
+        assert max(z.shape[0] for z in blocks) == max(spec.dim // 2, budget_rows)
+        q = nonlocality_matrix(spec, cls)
+        assert np.abs(q.entries - whole.entries).max() < 1e-12
 
 
 def traced_peak(fn) -> int:
@@ -239,15 +240,18 @@ def test_syk_pauli_stream_matches_dense_products(n):
 
 
 def test_syk_blocks_respect_the_budget(monkeypatch):
-    """Row blocks stay within block_rows at any budget; Q does not change."""
+    """Blocks hold the budget's rows, but never fewer than dim // 2 (16
+    here); splitting the rows over many blocks leaves Q unchanged."""
     rep, spec = chaotic4_spectrum(10)
     cls = syk.MonomialClassifier(rep, 4)
     whole = nonlocality_matrix(spec, cls)
-    monkeypatch.setattr(engine, "Q_BLOCK_BYTES", 7 * spec.dim * 64)
-    blocks = list(cls.local_diagonals(spec))
-    assert max(z.shape[0] for z in blocks) == 7
-    assert sum(z.shape[0] for z in blocks) == len(local_subsets(rep, 4))
-    assert np.abs(nonlocality_matrix(spec, cls).entries - whole.entries).max() < 1e-12
+    for budget_rows in (7, 100):  # below the floor, above it
+        monkeypatch.setattr(engine, "Q_BLOCK_BYTES", budget_rows * spec.dim * 64)
+        blocks = list(cls.local_diagonals(spec))
+        assert len(blocks) > 1
+        assert max(z.shape[0] for z in blocks) == max(spec.dim // 2, budget_rows)
+        assert sum(z.shape[0] for z in blocks) == len(local_subsets(rep, 4))
+        assert np.abs(nonlocality_matrix(spec, cls).entries - whole.entries).max() < 1e-12
 
 
 def test_syk_q_memory_is_one_block_plus_dense_arrays(monkeypatch):
