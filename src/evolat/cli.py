@@ -127,13 +127,16 @@ class ModelBundle:
         self.spectrum = spectrum  # normalized
         self.hamiltonian = hamiltonian
         self.classifier = classifier  # callable threshold -> classifier, or None
-        self.extras = extras or {}
+        self.extras = extras or {}  # file name -> callable rendering its text
 
 
 def _build_syk(mc: dict) -> ModelBundle:
     n = mc["n_modes"]
     variant = mc["variant"]
-    eps = float(mc.get("epsilon", 1.0))
+    try:
+        eps = float(mc.get("epsilon", 1.0))
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"syk epsilon: {exc}") from None
     rng = np.random.default_rng(mc.get("seed", 0))
     try:
         rep = syk.build_clifford(n)
@@ -171,7 +174,7 @@ def _build_resonant(mc: dict) -> ModelBundle:
             delta_coeff=float(mc.get("delta_coeff", 1.0)) if kind == "delta" else 0.0,
             seed=mc.get("seed", 0) if kind == "random" else None,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SystemExit(f"resonant coupling: {exc}") from None
     try:
         block = resonant.enumerate_block(n, m)
@@ -184,7 +187,7 @@ def _build_resonant(mc: dict) -> ModelBundle:
         spec,
         hamiltonian=h,
         classifier=lambda k: resonant.ResonantClassifier(block, k),
-        extras={"block_states.csv": resonant.block_states_csv(block)},
+        extras={"block_states.csv": lambda: resonant.block_states_csv(block)},
     )
 
 
@@ -240,12 +243,13 @@ def _metric_settings(cfg: dict, dim: int = 1) -> tuple:
     mu, nu = cfg.get("mu", 1.0), cfg.get("nu", 0.0)
     family = _family(cfg)
     syk_modes = cfg["model"].get("n_modes") if family == "syk" else None
+    # SYK locality counts Majorana monomials of weight 1 to n_modes; an
+    # n_modes that is not a positive integer is left for _build_model to name
+    lo, hi = (1, syk_modes) if type(syk_modes) is int and syk_modes > 0 else (0, np.inf)
     try:
         mu = float(dim) if mu == "dim" else float(mu)
         nu = engine.SU_NU_FACTOR * mu if nu == "su" else float(nu)
         thr = int(cfg.get("threshold", _default_threshold(cfg)))
-        # SYK locality counts Majorana monomials of weight 1 to n_modes
-        lo, hi = (0, np.inf) if syk_modes is None else (1, int(syk_modes))
     except (TypeError, ValueError, OverflowError) as exc:
         raise SystemExit(f"mu, nu, threshold: {exc}") from None
     if not (1.0 <= mu < np.inf and 0.0 <= nu < np.inf and lo <= thr <= hi):
@@ -331,8 +335,8 @@ def cmd_gen(cfg: dict, outdir: Path) -> int:
         _json_text({"energies": bundle.spectrum.energies.tolist()}),
     )
     print(f"wrote {outdir / 'energies.json'}")
-    for name, text in bundle.extras.items():
-        linalg.atomic_write(outdir / name, text)
+    for name, render in bundle.extras.items():
+        linalg.atomic_write(outdir / name, render())
         print(f"wrote {outdir / name}")
     linalg.atomic_write(outdir / "gen_meta.json", _json_text(meta))
     print(f"wrote {outdir / 'gen_meta.json'}")
@@ -341,12 +345,14 @@ def cmd_gen(cfg: dict, outdir: Path) -> int:
 
 def _sweep(cfg: dict, times: np.ndarray, outdir: Path):
     """Build the model, solve the time grid, write bound.csv and bound_meta.json."""
-    _metric_settings(cfg)
+    mu, nu, _ = _metric_settings(cfg)
     chain = cfg.get("chain", engine.DEFAULT_CHAIN)
     try:
         chain = None if chain == "biinvariant" else engine.SolverChain.parse(chain)
     except (AttributeError, ValueError) as exc:
         raise SystemExit(f"chain: {exc}") from None
+    if chain is None and (mu != 1.0 or cfg.get("mu") == "dim" or nu != 0.0):
+        raise SystemExit("chain: biinvariant is the closed form for mu = 1 and nu = 0")
     bundle = _build_model(cfg)
     bundle.hamiltonian = None  # only gen writes H; Q needs the eigenvectors alone
     metric = None if chain is None else _metric_for(cfg, bundle)
@@ -457,9 +463,13 @@ def cmd_plateau(cfg: dict, outdir: Path) -> int:
 def cmd_cvp(cfg: dict, outdir: Path) -> int:
     if "basis" not in cfg or "target" not in cfg:
         raise SystemExit("cvp config must hold a basis (list of columns) and a target")
-    basis = np.array(cfg["basis"], dtype=float).T
-    target = np.array(cfg["target"], dtype=float)
-    entries = lattice.method_ladder(lattice.TriangularLattice.from_columns(basis, target))
+    try:
+        basis = np.array(cfg["basis"], dtype=float).T
+        target = np.array(cfg["target"], dtype=float)
+        instance = lattice.TriangularLattice.from_columns(basis, target)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise SystemExit(f"cvp instance: {exc}") from None
+    entries = lattice.method_ladder(instance)
     # distances measured in the input basis rather than in its triangular frame
     dist = {e.method: float(np.linalg.norm(basis @ e.coeffs.astype(float) - target))
             for e in entries}

@@ -21,13 +21,7 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .lattice import (
-    TriangularLattice,
-    babai_nearest_plane,
-    greedy_descent,
-    lll_reduce_with_transform,
-    round_half_away,
-)
+from .lattice import DEFAULT_CHAIN, SolverChain, TriangularLattice, round_half_away
 from .linalg import Spectrum
 
 TWO_PI = 2.0 * np.pi
@@ -189,37 +183,6 @@ def bi_invariant_complexity(energies: np.ndarray, t):
 
 
 @dataclass(frozen=True)
-class SolverChain:
-    """Which solvers to run, e.g. "lll+babai+greedy" or "naive"."""
-
-    use_lll: bool
-    base: str
-    use_greedy: bool
-
-    @classmethod
-    def parse(cls, text: str) -> "SolverChain":
-        parts = text.lower().split("+")
-        use_lll = "lll" in parts
-        use_greedy = "greedy" in parts
-        base = [p for p in parts if p in ("naive", "babai")]
-        extra = [p for p in parts if p not in ("lll", "greedy", "naive", "babai")]
-        if len(base) != 1 or extra:
-            raise ValueError(f"cannot parse solver chain {text!r}")
-        if use_lll and base[0] == "naive":
-            raise ValueError("naive rounding ignores the basis, lll+naive is meaningless")
-        return cls(use_lll, base[0], use_greedy)
-
-    def label(self) -> str:
-        parts = (["lll"] if self.use_lll else []) + [self.base]
-        if self.use_greedy:
-            parts.append("greedy")
-        return "+".join(parts)
-
-
-DEFAULT_CHAIN = "lll+babai+greedy"
-
-
-@dataclass(frozen=True)
 class ComplexityTrace:
     """C_bound sampled on a strictly increasing time grid, with the integer
     winding vector k that attains each value, one row per time."""
@@ -272,12 +235,8 @@ class ComplexityPipeline:
             r = np.linalg.cholesky(self.metric_matrix).T
         except np.linalg.LinAlgError:
             raise ArithmeticError("metric is not positive definite") from None
-        # the lattice the chain solves on, with its target at t = 2 pi; with
-        # LLL, k = transform @ (coefficients in the reduced basis)
-        self.lattice = TriangularLattice(r, r @ self.energies)
-        self.transform = None
-        if self.chain.use_lll:
-            self.lattice, self.transform = lll_reduce_with_transform(self.lattice)
+        # the lattice the chain solves on, with its target at t = 2 pi
+        self.lattice, self.transform = self.chain.reduce(TriangularLattice(r, r @ self.energies))
 
     def sweep(self, times: Sequence[float]) -> ComplexityTrace:
         """C_bound and its minimizer at every time, all times solved at once;
@@ -285,14 +244,8 @@ class ComplexityPipeline:
         ts = np.asarray(times, dtype=float)
         if ts.ndim != 1 or (ts.size > 1 and np.any(np.diff(ts) <= 0)):
             raise ValueError("times must be strictly increasing")
-        turns = ts / TWO_PI
-        lat = self.lattice.with_target(np.multiply.outer(turns, self.lattice.target))
-        if self.chain.base == "naive":
-            coeffs = round_half_away(np.multiply.outer(turns, self.energies)).astype(np.int64)
-        else:
-            coeffs = babai_nearest_plane(lat)
-        if self.chain.use_greedy:
-            coeffs = greedy_descent(lat, coeffs)
+        lat = self.lattice.with_target(np.multiply.outer(ts / TWO_PI, self.lattice.target))
+        coeffs = self.chain.solve(lat)
         ks = coeffs if self.transform is None else coeffs @ self.transform.T
         values = TWO_PI * lat.distance(coeffs)
         resid = np.multiply.outer(ts, self.energies) - TWO_PI * ks

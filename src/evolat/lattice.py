@@ -12,7 +12,8 @@ by column operations and 2x2 reflections, and rotates the target along.
 The solvers form a quality ladder: naive coefficient rounding, the Babai
 nearest-plane walk, both optionally preceded by LLL reduction, a greedy
 coordinate descent refinement, and exact Schnorr-Euchner enumeration.
-Babai and greedy take one target or a stack; enumeration takes one.
+Babai and greedy take one target or a stack; enumeration takes one.  A
+SolverChain names a heuristic chain and is the one code that runs it.
 
 Rounding convention: ties at half-integers round away from zero.
 """
@@ -325,6 +326,57 @@ def plateau_estimate(lattice: TriangularLattice) -> float:
     return float(np.pi / np.sqrt(3.0) * np.sqrt(np.sum(lattice.star_sq)))
 
 
+DEFAULT_CHAIN = "lll+babai+greedy"
+# the heuristic rungs of the cvp ladder, cheapest to strongest
+LADDER = ("naive", "babai", "lll+babai", "lll+babai+greedy")
+
+
+@dataclass(frozen=True)
+class SolverChain:
+    """Which solvers to run, e.g. "lll+babai+greedy" or "naive"; reduce and
+    solve run them."""
+
+    use_lll: bool
+    base: str
+    use_greedy: bool
+
+    @classmethod
+    def parse(cls, text: str) -> "SolverChain":
+        parts = text.lower().split("+")
+        use_lll = "lll" in parts
+        use_greedy = "greedy" in parts
+        base = [p for p in parts if p in ("naive", "babai")]
+        extra = [p for p in parts if p not in ("lll", "greedy", "naive", "babai")]
+        if len(base) != 1 or extra:
+            raise ValueError(f"cannot parse solver chain {text!r}")
+        if use_lll and base[0] == "naive":
+            raise ValueError("naive rounding ignores the basis, lll+naive is meaningless")
+        return cls(use_lll, base[0], use_greedy)
+
+    def label(self) -> str:
+        parts = (["lll"] if self.use_lll else []) + [self.base]
+        if self.use_greedy:
+            parts.append("greedy")
+        return "+".join(parts)
+
+    def reduce(self, lattice: TriangularLattice):
+        """(lattice to solve on, U or None): LLL's output for a chain with
+        lll, where a solution k maps back to U @ k, and the input otherwise."""
+        return lll_reduce_with_transform(lattice) if self.use_lll else (lattice, None)
+
+    def solve(self, lattice: TriangularLattice) -> np.ndarray:
+        """int64 coefficients in lattice's own basis, for its target or each
+        row of its stack: naive rounding of r^-1 @ target or Babai, then
+        greedy descent when the chain asks for it."""
+        if self.base == "naive":
+            unrounded = np.linalg.solve(lattice.r, lattice.target.T).T
+            # C order: distance's per-row products depend on the strides
+            coeffs = round_half_away(unrounded).astype(np.int64, order="C")
+        else:
+            coeffs = babai_nearest_plane(lattice)
+        return greedy_descent(lattice, coeffs) if self.use_greedy else coeffs
+
+
 @dataclass(frozen=True)
 class LadderEntry:
     method: str
@@ -334,36 +386,20 @@ class LadderEntry:
 
 
 def method_ladder(lattice: TriangularLattice):
-    """Run the solver ladder on one instance, cheapest to strongest.
-
-    Covers naive rounding, Babai on the given basis, Babai on the LLL basis,
-    greedy refinement of the latter, and, up to EXACT_MAX_DIM, the exact
-    optimum (enumerated on the reduced basis, where the search tree is
-    smallest).
-    """
-    results = []
-    t0 = perf_counter()
-
-    def add(name, coeffs):
-        results.append(
-            LadderEntry(
-                name,
-                np.asarray(coeffs, dtype=np.int64),
-                lattice.distance(coeffs),
-                perf_counter() - t0,
-            )
-        )
-
-    add("naive", round_half_away(np.linalg.solve(lattice.r, lattice.target)))
-    t0 = perf_counter()
-    add("babai", babai_nearest_plane(lattice))
-    t0 = perf_counter()
+    """Run the solver ladder on one instance, cheapest to strongest: each
+    LADDER chain and, up to EXACT_MAX_DIM, the exact optimum, enumerated on
+    the LLL basis where the search tree is smallest.  LLL runs once, and
+    each rung's seconds cover its whole chain, that reduction included."""
+    start = perf_counter()
     reduced, u = lll_reduce_with_transform(lattice)
-    c = babai_nearest_plane(reduced)
-    add("lll+babai", u @ c)
-    t0 = perf_counter()
-    add("lll+babai+greedy", u @ greedy_descent(reduced, c))
-    if lattice.dim <= EXACT_MAX_DIM:
-        t0 = perf_counter()
-        add("exact", u @ enumerate_cvp(reduced))
+    lll_seconds = perf_counter() - start
+    results = []
+    for name in LADDER + (("exact",) if lattice.dim <= EXACT_MAX_DIM else ()):
+        chain = None if name == "exact" else SolverChain.parse(name)
+        on_lll = chain is None or chain.use_lll
+        solve = enumerate_cvp if chain is None else chain.solve
+        start = perf_counter()
+        coeffs = u @ solve(reduced) if on_lll else solve(lattice)
+        seconds = perf_counter() - start + (lll_seconds if on_lll else 0.0)
+        results.append(LadderEntry(name, coeffs, lattice.distance(coeffs), seconds))
     return results

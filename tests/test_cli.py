@@ -142,11 +142,20 @@ def test_missing_model_key_is_named_before_any_array(tmp_path, monkeypatch, mode
     ({"family": "synthetic", "kind": "goe", "dim": 1}, "needs dim >= 2, got 1"),
     ({"family": "synthetic", "kind": "goe", "dim": 4, "seed": -3},
      "model seed must be a non-negative integer, got -3"),
+    ({"family": "syk", "variant": "integrable", "n_modes": 8, "epsilon": "big"},
+     "syk epsilon: could not convert string to float: 'big'"),
+    ({"family": "syk", "variant": "free", "n_modes": "twelve"},
+     "model n_modes must be a non-negative integer, got 'twelve'"),
+    ({"family": "resonant", "kind": "alpha", "n_particles": 4, "total_level": 4, "alpha": None},
+     "resonant coupling: float"),
 ], ids=["count-not-a-number", "negative-count", "block-over-guard", "odd-modes",
-        "fractional-dim", "dim-1", "negative-seed"])
+        "fractional-dim", "dim-1", "negative-seed", "epsilon-not-a-number",
+        "modes-not-a-number", "alpha-null"])
 def test_bad_model_value_refused_with_a_message(tmp_path, model, message):
-    with pytest.raises(SystemExit, match=message):
-        run(tmp_path, "gen", {"model": model}, "bad_model")
+    # bound reads n_modes for the threshold range before it builds the model
+    for command in ("gen", "bound"):
+        with pytest.raises(SystemExit, match=message):
+            run(tmp_path, command, dict(SYNTH_TRACE, model=model), "bad_model")
 
 
 def test_qspec_refuses_a_synthetic_model_before_building_it(tmp_path, monkeypatch):
@@ -174,6 +183,22 @@ def test_bad_metric_setting_refused_before_the_model(tmp_path, monkeypatch, comm
     cfg = dict(SYNTH_TRACE, chain="babai", window=[2000.0, 4000.0], **{key: value})
     with pytest.raises(SystemExit, match=re.escape(str(value))):
         run(tmp_path, command, cfg, "bad_setting")
+
+
+@pytest.mark.parametrize("command", ["bound", "plateau"])
+@pytest.mark.parametrize("key,value", [("mu", "dim"), ("mu", 2.0), ("nu", "su"), ("nu", 0.5)])
+def test_biinvariant_chain_refuses_a_penalized_metric(tmp_path, monkeypatch, command, key,
+                                                      value):
+    """The closed form is the mu = 1, nu = 0 bound; it cannot stand for another."""
+    monkeypatch.setattr(cli, "_build_model", refuse_model)
+    cfg = {
+        "model": {"family": "resonant", "kind": "truncated", "n_particles": 8, "total_level": 8},
+        "chain": "biinvariant",
+        "times": {"start": 20000.0, "stop": 24000.0, "count": 21},
+        key: value,
+    }
+    with pytest.raises(SystemExit, match="^chain: biinvariant .* mu = 1 and nu = 0$"):
+        run(tmp_path, command, cfg, "biinvariant_metric")
 
 
 @pytest.mark.parametrize("command", ["bound", "plateau", "qspec"])
@@ -248,6 +273,17 @@ def test_gen_resonant_block_table(tmp_path):
     )
     meta = json.load(open(out / "gen_meta.json"))
     assert meta["hamiltonian_file"] == "hamiltonian.npy"
+
+
+def test_only_gen_renders_the_block_table(tmp_path, monkeypatch):
+    def refuse(block):
+        raise AssertionError("block_states.csv rendered for a command that does not write it")
+
+    monkeypatch.setattr(cli.resonant, "block_states_csv", refuse)
+    cfg = {"model": {"family": "resonant", "kind": "truncated",
+                     "n_particles": 6, "total_level": 6},
+           "threshold": 2, "mu": "dim", "times": {"start": 100.0, "stop": 200.0, "count": 5}}
+    run(tmp_path, "bound", cfg, "bound_no_table")
 
 
 def test_gen_syk_round_trip(tmp_path):
@@ -503,7 +539,6 @@ def test_plateau_estimate_reuses_pipeline_reduction(tmp_path, monkeypatch, chain
             raise AssertionError("LLL run for a chain without it")
 
         monkeypatch.setattr(lattice, "lll_reduce_with_transform", refuse)
-        monkeypatch.setattr(engine, "lll_reduce_with_transform", refuse)
     pipeline = engine.ComplexityPipeline(bundle.spectrum.energies, metric, chain)
     if "lll" in chain:
         assert np.array_equal(pipeline.lattice.r, solved_on.r)
@@ -566,6 +601,17 @@ def test_cvp_runs_are_byte_identical(tmp_path, cvp6):
 def test_cvp_requires_instance_fields(tmp_path):
     with pytest.raises(SystemExit, match="basis"):
         run(tmp_path, "cvp", {"target": [0.0, 0.0]}, "cvp_bad")
+
+
+@pytest.mark.parametrize("basis, target, message", [
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 2.0, 3.0], "basis must be square"),
+    ([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0, 3.0], "does not match basis dimension 2"),
+    ([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0], "rank deficient"),
+    ("abc", [1.0, 2.0], "could not convert string to float"),
+], ids=["non-square", "target-length", "rank-deficient", "not-numbers"])
+def test_cvp_refuses_a_malformed_instance_with_a_message(tmp_path, basis, target, message):
+    with pytest.raises(SystemExit, match=f"^cvp instance: .*{message}"):
+        run(tmp_path, "cvp", {"basis": basis, "target": target}, "cvp_bad")
 
 
 # ---------------------------------------------------------------- overrides

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 from evolat import engine, lattice, linalg, resonant
 from evolat.lattice import (
     INT64_MAX,
+    LADDER,
     IterationCapError,
+    SolverChain,
     TriangularLattice,
     babai_nearest_plane,
     enumerate_cvp,
@@ -441,6 +444,51 @@ def test_method_ladder_on_fixture(cvp6):
     # distances recompute from the reported coefficients in the input basis
     for e in entries:
         assert abs(np.linalg.norm(basis @ e.coeffs - target) - e.distance) < 1e-9
+
+
+def test_method_ladder_reduces_once(monkeypatch, cvp6):
+    """One LLL serves every rung on the reduced basis, and each of those
+    rungs' seconds include it."""
+    calls = []
+
+    def slow_lll(*args, **kwargs):
+        calls.append(args)
+        time.sleep(0.02)
+        return lll_reduce_with_transform(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "lll_reduce_with_transform", slow_lll)
+    basis = np.array(cvp6["basis"], dtype=float).T
+    entries = method_ladder(TriangularLattice.from_columns(basis, cvp6["target"]))
+    assert len(calls) == 1
+    for e in entries:
+        if "lll" in e.method or e.method == "exact":
+            assert e.seconds >= 0.02, e.method
+
+
+@pytest.mark.parametrize("name", ["naive", "babai+greedy"])
+def test_chain_solves_a_stack_row_by_row(name):
+    rng = np.random.default_rng(31)
+    b = rng.standard_normal((6, 6))
+    stack = TriangularLattice.from_columns(b, (b @ rng.uniform(-4.0, 4.0, size=(6, 9))).T)
+    chain = SolverChain.parse(name)
+    coeffs = chain.solve(stack)
+    assert coeffs.shape == (9, 6) and coeffs.dtype == np.int64 and coeffs.flags.c_contiguous
+    for row, target in zip(coeffs, stack.target):
+        assert np.array_equal(row, chain.solve(stack.with_target(target)))
+
+
+@pytest.mark.parametrize("name", LADDER)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8))
+def test_no_ladder_chain_beats_the_exact_optimum(name, seed, d):
+    """Each chain run through reduce and solve, on bases drawn as
+    criterion 05 draws them, lands no closer than enumeration."""
+    chain = SolverChain.parse(name)
+    _, lat = random_lattice(np.random.default_rng(seed), d)
+    reduced, u = chain.reduce(lat)
+    coeffs = chain.solve(reduced)
+    k = coeffs if u is None else u @ coeffs
+    assert lat.distance(k) >= lat.distance(enumerate_cvp(lat)) - 1e-9
 
 
 def test_gram_schmidt_data_validates_shapes():
