@@ -249,7 +249,9 @@ def _metric_settings(cfg: dict, dim: int = 1) -> tuple:
     try:
         mu = float(dim) if mu == "dim" else float(mu)
         nu = engine.SU_NU_FACTOR * mu if nu == "su" else float(nu)
-        thr = int(cfg.get("threshold", _default_threshold(cfg)))
+        thr = cfg.get("threshold", _default_threshold(cfg))
+        if type(thr) is not int:  # int() would truncate 2.7 and take True
+            raise TypeError(f"threshold must be an integer, got {thr!r}")
     except (TypeError, ValueError, OverflowError) as exc:
         raise SystemExit(f"mu, nu, threshold: {exc}") from None
     if not (1.0 <= mu < np.inf and 0.0 <= nu < np.inf and lo <= thr <= hi):
@@ -323,7 +325,7 @@ def cmd_gen(cfg: dict, outdir: Path) -> int:
     if bundle.hamiltonian is not None:
         path = outdir / "hamiltonian.npy"
         entries = bundle.hamiltonian.entries
-        if np.abs(entries.imag).max() == 0.0:
+        if np.iscomplexobj(entries) and not entries.imag.any():
             entries = entries.real
         buf = io.BytesIO()
         np.save(buf, entries)

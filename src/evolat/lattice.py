@@ -166,6 +166,15 @@ def lll_reduce_with_transform(lattice: TriangularLattice, delta: float = LLL_DEL
     ArithmeticError instead of wrapping.  The distance of any k under the
     reduced lattice is the distance of U @ k under the input.  Raises
     IterationCapError after 10 * dim**2 swaps.
+
+    The result is the one-position-at-a-time loop's, bit for bit; only tests
+    whose answer is known are skipped.  A column that took no step at its
+    last level test is clean: a swap keeps its rows above k-1 and
+    diag[:k-1], so it sinks untested (a stepped one may sit at +-1/2, which
+    rounds to +-1 again).  When k climbs below the highest position it has
+    reached, those positions are tested at once, Lovasz and levels, and k
+    jumps to the first that fails or needs a step.  A position -> column
+    list reaches U, so a swap moves two list entries, not two columns.
     """
     if not (0.25 < delta <= 1.0):
         raise ValueError(f"delta must lie in (1/4, 1], got {delta}")
@@ -174,19 +183,22 @@ def lll_reduce_with_transform(lattice: TriangularLattice, delta: float = LLL_DEL
     # them too; column-major, as size reduction and swaps work on columns
     aug = np.asfortranarray(np.column_stack([lattice.r, lattice.target.T]))
     r = aug[:, :d]
-    diag = r.diagonal()  # a view: it follows the swaps
+    diag, sup = r.diagonal(), r.diagonal(1)  # views: they follow the swaps
     u = np.eye(d, dtype=np.int64, order="F")
-    peak = [1] * d
+    col = list(range(d))  # the column of u at each position
+    peak = [1] * d  # per column of u
     swap_cap = 10 * d * d
     swaps = 0
-    k = 1
+    k = seen = 1
+    clean = False
     while k < d:
         # size reduction, highest level first, visiting only the levels
         # whose coefficient rounds to a nonzero integer; floor(|mu| + 0.5)
         # is round_half_away's own magnitude, so the test agrees with it
         # (|mu| > 0.5 would not: the float just below 0.5 rounds to 1)
-        top = k
-        while True:
+        top = 0 if clean else k
+        clean = True
+        while top:
             mu = r[:top, k] / diag[:top]
             mag = np.floor(np.abs(mu) + 0.5)
             levels = mag.nonzero()[0]
@@ -194,12 +206,23 @@ def lll_reduce_with_transform(lattice: TriangularLattice, delta: float = LLL_DEL
                 break
             j = int(levels[-1])
             m = int(math.copysign(mag[j], mu[j]))
-            _shear_transform(u, peak, k, j, m, swaps)
+            _shear_transform(u, peak, col[k], col[j], m, swaps)
             r[: j + 1, k] -= m * r[: j + 1, j]
-            top = j
+            top, clean = j, False
         a, b, x = float(r[k - 1, k]), float(r[k, k]), float(diag[k - 1])
         if delta * x * x <= a * a + b * b:
-            k += 1
+            k, clean = k + 1, False
+            if k < seen:
+                # the scalar tests of positions k..seen-1, element for
+                # element; floor(y) >= 1 exactly when y >= 1
+                dg, up = diag[k - 1 : seen - 1], sup[k - 1 : seen - 1]
+                fails = (delta * dg * dg > up * up + diag[k:seen] ** 2).nonzero()[0]
+                f = k + int(fails[0]) if fails.size else seen
+                steps = np.abs(r[:f, k:f] / diag[:f, None]) + 0.5 >= 1.0
+                steps &= np.arange(f)[:, None] < np.arange(k, f)  # levels below each
+                steps = steps.any(axis=0).nonzero()[0]
+                k = k + int(steps[0]) if steps.size else f
+            seen = max(seen, k)
             continue
         swaps += 1
         if swaps > swap_cap:
@@ -207,11 +230,11 @@ def lll_reduce_with_transform(lattice: TriangularLattice, delta: float = LLL_DEL
                 f"LLL exceeded {swap_cap} swaps at dimension {d} (delta={delta}); "
                 "basis may be pathological"
             )
-        # swap columns k-1 and k (numpy copies an overlapping source first);
+        # swap positions k-1 and k (numpy copies an overlapping source first);
         # in r only the rows above k-1, as the reflection sets rows k-1 and k
-        for pair in (r[: k - 1, k - 1 : k + 1], u[:, k - 1 : k + 1]):
-            pair[...] = pair[:, ::-1]
-        peak[k - 1], peak[k] = peak[k], peak[k - 1]
+        pair = r[: k - 1, k - 1 : k + 1]
+        pair[...] = pair[:, ::-1]
+        col[k - 1], col[k] = col[k], col[k - 1]
         # the reflection [[c, s], [s, -c]] of rows k-1 and k takes the
         # swapped columns (a, b) and (x, 0) to (rho, 0) and (c x, s x)
         rho = math.hypot(a, b)
@@ -219,9 +242,11 @@ def lll_reduce_with_transform(lattice: TriangularLattice, delta: float = LLL_DEL
         rows = aug[k - 1 : k + 1, k + 1 :]
         rows[...] = np.array([[c, s], [s, -c]]) @ rows
         r[k - 1, k - 1], r[k - 1, k], r[k, k - 1], r[k, k] = rho, c * x, 0.0, s * x
+        # the column now at k-1 stays clean; at k = 1 the other one is at 1
+        clean = clean and k > 1
         k = max(k - 1, 1)
     target = aug[:, d:].T.reshape(lattice.target.shape)
-    return TriangularLattice(np.ascontiguousarray(r), target), u
+    return TriangularLattice(np.ascontiguousarray(r), target), np.asfortranarray(u[:, col])
 
 
 def babai_nearest_plane(lattice: TriangularLattice) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import operator
 
 import numpy as np
@@ -158,7 +159,10 @@ def lll_reference(lattice: TriangularLattice, delta: float = LLL_DELTA_DEFAULT):
     updates them after each swap, rebuilds them from a QR factorization every
     LLL_REFRESH_EVERY swaps, and triangularizes the basis once at the end.
     `lll_reduce_with_transform` makes the same decisions from r alone, so
-    its U must agree exactly; its r and target agree up to roundoff."""
+    its U agrees exactly and its r and target up to roundoff, wherever no
+    coefficient lands on an exact tie at 1/2.  Small integer bases make
+    such ties after swaps, and the two round them apart (one computes
+    0.5, the other 0.4999...); `lll_stepwise` is the oracle there."""
     d = lattice.dim
     b = np.array(lattice.r)
     star, mu = _profile(lattice.r)
@@ -199,6 +203,68 @@ def lll_reference(lattice: TriangularLattice, delta: float = LLL_DELTA_DEFAULT):
         k = max(k - 1, 1)
     frame, r = triangularize(b)
     return TriangularLattice(r, frame.T @ lattice.target), u
+
+
+def lll_stepwise(lattice: TriangularLattice, delta: float = LLL_DELTA_DEFAULT):
+    """`lll_reduce_with_transform` as it was before it skipped the tests
+    whose answer it knows: every position runs the level test, and k
+    climbs one position at a time.  The package's reduction must return
+    the same U, r and target, bit for bit."""
+    if not (0.25 < delta <= 1.0):
+        raise ValueError(f"delta must lie in (1/4, 1], got {delta}")
+    d = lattice.dim
+    # the targets ride along as extra columns, so each reflection rotates
+    # them too; column-major, as size reduction and swaps work on columns
+    aug = np.asfortranarray(np.column_stack([lattice.r, lattice.target.T]))
+    r = aug[:, :d]
+    diag = r.diagonal()  # a view: it follows the swaps
+    u = np.eye(d, dtype=np.int64, order="F")
+    peak = [1] * d
+    swap_cap = 10 * d * d
+    swaps = 0
+    k = 1
+    while k < d:
+        # size reduction, highest level first, visiting only the levels
+        # whose coefficient rounds to a nonzero integer; floor(|mu| + 0.5)
+        # is round_half_away's own magnitude, so the test agrees with it
+        # (|mu| > 0.5 would not: the float just below 0.5 rounds to 1)
+        top = k
+        while True:
+            mu = r[:top, k] / diag[:top]
+            mag = np.floor(np.abs(mu) + 0.5)
+            levels = mag.nonzero()[0]
+            if levels.size == 0:
+                break
+            j = int(levels[-1])
+            m = int(math.copysign(mag[j], mu[j]))
+            lattice_module._shear_transform(u, peak, k, j, m, swaps)
+            r[: j + 1, k] -= m * r[: j + 1, j]
+            top = j
+        a, b, x = float(r[k - 1, k]), float(r[k, k]), float(diag[k - 1])
+        if delta * x * x <= a * a + b * b:
+            k += 1
+            continue
+        swaps += 1
+        if swaps > swap_cap:
+            raise IterationCapError(
+                f"LLL exceeded {swap_cap} swaps at dimension {d} (delta={delta}); "
+                "basis may be pathological"
+            )
+        # swap columns k-1 and k (numpy copies an overlapping source first);
+        # in r only the rows above k-1, as the reflection sets rows k-1 and k
+        for pair in (r[: k - 1, k - 1 : k + 1], u[:, k - 1 : k + 1]):
+            pair[...] = pair[:, ::-1]
+        peak[k - 1], peak[k] = peak[k], peak[k - 1]
+        # the reflection [[c, s], [s, -c]] of rows k-1 and k takes the
+        # swapped columns (a, b) and (x, 0) to (rho, 0) and (c x, s x)
+        rho = math.hypot(a, b)
+        c, s = a / rho, b / rho
+        rows = aug[k - 1 : k + 1, k + 1 :]
+        rows[...] = np.array([[c, s], [s, -c]]) @ rows
+        r[k - 1, k - 1], r[k - 1, k], r[k, k - 1], r[k, k] = rho, c * x, 0.0, s * x
+        k = max(k - 1, 1)
+    target = aug[:, d:].T.reshape(lattice.target.shape)
+    return TriangularLattice(np.ascontiguousarray(r), target), u
 
 
 def build_block_hamiltonian_oracle(

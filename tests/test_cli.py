@@ -177,6 +177,7 @@ def test_synthetic_mu_above_one_refused_before_the_model(tmp_path, monkeypatch, 
 @pytest.mark.parametrize("key,value", [
     ("mu", "big"), ("mu", 0.5), ("mu", None), ("mu", float("inf")),
     ("nu", "x"), ("nu", -1.0), ("threshold", -1), ("threshold", "four"), ("threshold", None),
+    ("threshold", 2.7), ("threshold", True),
 ])
 def test_bad_metric_setting_refused_before_the_model(tmp_path, monkeypatch, command, key, value):
     monkeypatch.setattr(cli, "_build_model", refuse_model)
@@ -273,6 +274,27 @@ def test_gen_resonant_block_table(tmp_path):
     )
     meta = json.load(open(out / "gen_meta.json"))
     assert meta["hamiltonian_file"] == "hamiltonian.npy"
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_gen_stores_a_real_hamiltonian_as_float64(tmp_path, monkeypatch, dtype):
+    """A real H, and a complex one whose imaginary part is zero, are both
+    written as the same float64 array."""
+    cfg = {"model": {"family": "resonant", "n_particles": 4, "total_level": 4,
+                     "kind": "truncated"}}
+    want = (run(tmp_path, "gen", cfg, "gen_real") / "hamiltonian.npy").read_bytes()
+    build = cli._build_model
+
+    def build_as(cfg):
+        bundle = build(cfg)
+        bundle.hamiltonian = linalg.HermitianMatrix(bundle.hamiltonian.entries.astype(dtype))
+        assert bundle.hamiltonian.entries.dtype == dtype
+        return bundle
+
+    monkeypatch.setattr(cli, "_build_model", build_as)
+    out = run(tmp_path, "gen", cfg, "gen_as")
+    assert (out / "hamiltonian.npy").read_bytes() == want
+    assert np.load(out / "hamiltonian.npy").dtype == np.float64
 
 
 def test_only_gen_renders_the_block_table(tmp_path, monkeypatch):

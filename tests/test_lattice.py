@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evolat import engine, lattice, linalg, resonant
@@ -30,6 +30,7 @@ from oracles import (
     greedy_serial,
     integer_determinant,
     lll_reference,
+    lll_stepwise,
     naive_round,
     widening_box_cvp,
 )
@@ -139,7 +140,7 @@ def assert_matches_reference(lat, delta=0.99):
     same U exactly, and r and target within LLL_REFERENCE_RTOL of the
     largest entry (the reflections round otherwise than the oracle's mu
     updates and QR)."""
-    reduced, u = lll_reduce_with_transform(lat, delta)
+    reduced, u = assert_matches_stepwise(lat, delta)
     ref, ref_u = lll_reference(lat, delta)
     assert u.dtype == np.int64 and u.tolist() == ref_u.tolist()
     for got, want in ((reduced.r, ref.r), (reduced.target, ref.target)):
@@ -148,21 +149,97 @@ def assert_matches_reference(lat, delta=0.99):
     return u
 
 
-def resonant_lattice():
-    """The Cholesky lattice of the truncated (12,12) block, threshold 4,
-    mu = D = 77."""
-    block = resonant.enumerate_block(12, 12)
+def assert_matches_stepwise(lat, delta=0.99):
+    """The reduction skips only tests whose answer it knows: U, r and the
+    target equal those of the one-position-at-a-time loop, bit for bit."""
+    reduced, u = lll_reduce_with_transform(lat, delta)
+    want, want_u = lll_stepwise(lat, delta)
+    assert u.dtype == np.int64 and u.flags.f_contiguous and np.array_equal(u, want_u)
+    assert np.array_equal(reduced.r, want.r)
+    assert np.array_equal(reduced.target, want.target)
+    return reduced, u
+
+
+def resonant_lattice(n=12):
+    """The Cholesky lattice of the truncated (n,n) block, threshold 4,
+    mu = D (77 at n = 12)."""
+    block = resonant.enumerate_block(n, n)
     h = resonant.build_block_hamiltonian(block, resonant.CouplingScheme("truncated"))
     spec = linalg.normalize_spectrum(linalg.eigendecompose(h))
     q = engine.nonlocality_matrix(spec, resonant.ResonantClassifier(block, 4))
     metric = engine.ComplexityMetric(mu=float(spec.dim), q=q)
     pipe = engine.ComplexityPipeline(spec.energies, metric, chain="babai")
-    assert pipe.lattice.dim == 77
+    assert pipe.lattice.dim == {12: 77, 14: 135}[n]
     return pipe.lattice
 
 
 def test_lll_matches_reference_on_resonant_block():
     assert_matches_reference(resonant_lattice())
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_lll_is_stepwise_on_resonant_blocks(n):
+    """The resonant lattices sink columns in long cascades and climb back
+    through positions already tested; a stack of targets rides along."""
+    lat = resonant_lattice(n)
+    targets = np.random.default_rng(n).uniform(-50.0, 50.0, size=(3, lat.dim))
+    assert_matches_stepwise(lat.with_target(targets))
+
+
+@st.composite
+def small_integer_lattices(draw):
+    """D = 2-10, entries in -3..3.  Half the draws are upper triangular with
+    a diagonal of 1 or 2, so coefficients r / diag land on exact halves; the
+    rest are general bases, triangularized."""
+    d = draw(st.integers(2, 10))
+    m = np.array(draw(st.lists(st.integers(-3, 3), min_size=d * d, max_size=d * d)),
+                 dtype=float).reshape(d, d)
+    target = np.array(draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d))) / 2.0
+    if draw(st.booleans()):
+        diag = draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=d, max_size=d))
+        return TriangularLattice(np.triu(m, 1) + np.diag(diag), target)
+    assume(abs(np.linalg.det(m)) > 0.5)
+    return TriangularLattice.from_columns(m, target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lat=small_integer_lattices(), delta=st.sampled_from([0.75, 0.99]))
+def test_lll_is_stepwise_on_small_integer_bases(lat, delta):
+    """Ties at 1/2 are common here.  lll_reference is left out: it breaks
+    ties that rounding creates after a swap otherwise (see
+    test_lll_steps_a_half_coefficient_at_every_level_it_sinks)."""
+    assert_matches_stepwise(lat, delta)
+
+
+def test_lll_steps_a_half_coefficient_at_every_level_it_sinks():
+    """Column 4 is stepped at level 0 to mu = -1/2 and sinks to position 0.
+    At each of positions 3, 2 and 1 its level test rounds that half to a
+    step again, so a column that took a step is tested after its swap (an
+    even number of such steps would cancel).  The last swap leaves
+    mu = 4/10 * 125/100 = 1/2 exactly: r rounds it to a step,
+    lll_reference's mu update to 0.4999..., so their U differ."""
+    r = np.diag([2.0, 2.0, 2.0, 2.0, 0.5])
+    r[0, 4] = 1.0
+    lat = TriangularLattice(r, [0.3, -0.2, 0.1, 0.4, -0.6])
+    u = assert_matches_stepwise(lat)[1]
+    assert u.tolist() == [[1, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1],
+                          [-2, -1, 0, 0, 0]]
+    assert lll_reference(lat)[1][:, 1].tolist() == [0, 0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("r", [
+    # the climb from position 2 stops at 3, whose Lovasz test fails while
+    # its column needs no step
+    [[3, 0, 0, -3], [0, 3, 0, 2], [0, 0, 3, 1], [0, 0, 0, 2]],
+    # the climb from position 2 stops at 3, whose column needs a step at
+    # level 2, the one just below it
+    [[3, 3, -2, -2, 1], [0, 1, 3, -1, 3], [0, 0, 3, -3, -1], [0, 0, 0, 3, 1], [0, 0, 0, 0, 2]],
+    # a swap at position 1 brings the other column there, to be tested
+    [[3, 1], [0, 1]],
+], ids=["climb-to-lovasz", "climb-to-step", "swap-at-1"])
+def test_lll_skips_only_what_the_loop_would_find_empty(r):
+    lat = TriangularLattice(np.array(r, dtype=float), [0.5, -1.5, 0.25, 1.0, -0.5][: len(r)])
+    assert_matches_stepwise(lat)
 
 
 def test_lll_runs_no_qr(monkeypatch):
