@@ -16,6 +16,7 @@ handled by the solvers in `lattice`.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
@@ -30,9 +31,11 @@ AUDIT_TOL = 1e-8
 IMAG_TOL = 1e-8
 # the special-unitary restriction's nu, per unit of mu
 SU_NU_FACTOR = 1e3
-# working-set budget for one block of local diagonals while it is built,
-# above block_rows' floor of dim // 2 rows
-Q_BLOCK_BYTES = 32 * 2**20
+# working-set budget for one block of local diagonals while it is built
+Q_BLOCK_BYTES = 4 * 2**20
+# block_rows' floor, capped at dim // 2, where dsyrk's cost per row levels
+# off; also the height of the panels that mirror and check Q
+Q_BLOCK_MIN_ROWS = 256
 
 
 class LocalityClassifier(Protocol):
@@ -43,18 +46,39 @@ class LocalityClassifier(Protocol):
     (rows, dim); over all blocks, each row is <n|T_alpha|n> over eigenstates
     n for one T_alpha.  Blocks are built on demand, so the whole
     (n_local, dim) array never exists; block_rows sizes them, to
-    Q_BLOCK_BYTES above a floor of dim // 2 rows."""
+    Q_BLOCK_BYTES above a floor of min(Q_BLOCK_MIN_ROWS, dim // 2) rows."""
 
     def local_diagonals(self, spectrum: Spectrum) -> Iterable[np.ndarray]: ...
 
 
 def block_rows(dim: int, bytes_per_entry: int) -> int:
     """Rows of a diagonal block of width dim: as many as fit in Q_BLOCK_BYTES
-    at bytes_per_entry bytes per entry, but never fewer than dim // 2.  numpy
-    runs a.T @ a as one syrk and then mirrors the triangle by a strided copy,
-    a fixed O(dim^2) cost per product (8-11 ms at dim = 1575 on a 2-core
-    host) that only products of many rows amortize."""
-    return max(1, dim // 2, Q_BLOCK_BYTES // (bytes_per_entry * dim))
+    at bytes_per_entry bytes per entry, but never fewer than Q_BLOCK_MIN_ROWS
+    or dim // 2, whichever is less.  Each block is one dsyrk into Q, whose
+    cost per row climbs below that floor: on a 2-core host, 573 us at 32 rows
+    and 296-461 us from 256 rows up at dim = 5604."""
+    return max(1, min(Q_BLOCK_MIN_ROWS, dim // 2), Q_BLOCK_BYTES // (bytes_per_entry * dim))
+
+
+def _numpy_dsyrk():
+    """cblas_dsyrk of the OpenBLAS numpy runs on, or None.  numpy's wheels
+    bundle the ILP64 scipy-openblas build (numpy.libs/libscipy_openblas64_*),
+    and the symbol is looked up through numpy's own extension module, so it
+    comes from the library numpy has loaded and from no other BLAS."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        kernel = ctypes.CDLL(_multiarray_umath.__file__).scipy_cblas_dsyrk64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    i32, i64, f64, ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    kernel.argtypes = [i32, i32, i32, i64, i64, f64, ptr, i64, f64, ptr, i64]
+    kernel.restype = None
+    return kernel
+
+
+# resolved once; None falls back to numpy's z.T @ z
+_DSYRK = _numpy_dsyrk()
 
 
 def real_block(z: np.ndarray) -> np.ndarray:
@@ -84,8 +108,10 @@ class NonlocalityMatrix:
         m = np.asarray(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("expected a square matrix")
-        dev = np.abs(m - m.T).max()
-        if dev > 1e-12 * max(1.0, np.abs(m).max()):
+        # by row panels, so no temporary is larger than a panel
+        k = Q_BLOCK_MIN_ROWS
+        dev = max(np.abs(m[r : r + k] - m[:, r : r + k].T).max() for r in range(0, m.shape[0], k))
+        if dev > 1e-12 * max(1.0, m.max(), -m.min()):
             raise ValueError(f"matrix not symmetric, deviation {dev:.3e}")
         evals = np.array(self.eigenvalues, dtype=float)
         if evals.shape != (m.shape[0],):
@@ -109,12 +135,13 @@ def nonlocality_matrix(spectrum: Spectrum, classifier: LocalityClassifier) -> No
     """Build Q from a spectrum and a locality classifier.
 
     Q = I - sum_alpha z_alpha z_alpha^T is accumulated one block of rows at a
-    time, so memory stays at a few dim x dim arrays plus one block.  Each
-    block's Gram matrix is numpy's a.T @ a, exactly symmetric, so Q is too.
+    time, each block subtracted straight into Q's upper triangle by one
+    dsyrk, so memory stays at Q plus one block.  The triangle is mirrored
+    once at the end, one panel of rows at a time, so Q is exactly symmetric.
+    Without the dsyrk each block is numpy's exactly symmetric z.T @ z.
     """
     d = spectrum.dim
     q = np.eye(d)
-    gram = np.empty((d, d))
     for z in classifier.local_diagonals(spectrum):
         z = np.ascontiguousarray(real_block(np.asarray(z)), dtype=np.float64)
         if z.ndim != 2 or z.shape[1] != d:
@@ -122,10 +149,14 @@ def nonlocality_matrix(spectrum: Spectrum, classifier: LocalityClassifier) -> No
                 f"classifier yielded a block of shape {z.shape} for dim {d}; "
                 "expected 2-D blocks of width dim"
             )
-        np.matmul(z.T, z, out=gram)
-        q -= gram
+        if _DSYRK is None:
+            q -= z.T @ z
+        else:  # row-major (101), upper (121), transposed (112): q = -z^T z + q
+            _DSYRK(101, 121, 112, d, z.shape[0], -1.0, z.ctypes.data, d, 1.0, q.ctypes.data, d)
         del z  # release the block before the next one is built
-    del gram
+    for r in range(0, d, Q_BLOCK_MIN_ROWS):  # the lower triangle from the upper
+        s = min(r + Q_BLOCK_MIN_ROWS, d)
+        np.copyto(q[r:s, :s], q[:s, r:s].T, where=np.tri(s - r, s, r - 1, dtype=bool))
     evals = np.linalg.eigvalsh(q)
     if evals[0] < -Q_EIGENVALUE_TOL or evals[-1] > 1.0 + Q_EIGENVALUE_TOL:
         raise ArithmeticError(
@@ -157,13 +188,16 @@ class ComplexityMetric:
             raise ValueError("mu > 1 requires a nonlocality matrix")
 
     def matrix(self, dim: int) -> np.ndarray:
-        g = np.eye(dim)
-        if self.q is not None:
+        """I + (mu - 1) Q + nu 11^T, built in one buffer."""
+        if self.q is None:
+            g = np.eye(dim)
+        else:
             if self.q.dim != dim:
                 raise ValueError(f"metric dimension {self.q.dim} != spectrum dimension {dim}")
-            g = g + (self.mu - 1.0) * self.q.entries
+            g = np.multiply(self.mu - 1.0, self.q.entries)
+            g.flat[:: dim + 1] += 1.0
         if self.nu > 0.0:
-            g = g + self.nu * np.ones((dim, dim))
+            g += self.nu
         return g
 
 

@@ -30,6 +30,17 @@ def _float_dtype(a: np.ndarray):
     return np.complex128 if np.iscomplexobj(a) else np.float64
 
 
+def _hermiticity(m: np.ndarray) -> tuple:
+    """max |m - m^dagger| and max(max |m|, 1) of a square float64 or
+    complex128 m, through one temporary of m's size (plus the modulus's for
+    complex m)."""
+    work = np.empty_like(m)  # |m|, then m - m^dagger, then its modulus
+    scale = max(np.abs(m, out=work.real).max(), 1.0)
+    np.subtract(m, np.conjugate(m.T, out=work), out=work)
+    dev = (np.abs(work) if np.iscomplexobj(work) else np.abs(work, out=work)).max()
+    return dev, scale
+
+
 @dataclass(frozen=True)
 class HermitianMatrix:
     """Square matrix with H = H^dagger enforced at construction.
@@ -45,8 +56,7 @@ class HermitianMatrix:
         m = m.astype(_float_dtype(m), copy=False)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        scale = max(np.abs(m).max(), 1.0)
-        dev = np.abs(m - m.conj().T).max()
+        dev, scale = _hermiticity(m)
         if dev > HERMITICITY_TOL * scale:
             raise ValueError(
                 f"matrix is not Hermitian: max |H - H^dag| = {dev:.3e} "

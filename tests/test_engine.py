@@ -108,6 +108,20 @@ def test_metric_matrix_formula():
     assert np.abs(m - expect).max() < 1e-12
 
 
+@pytest.mark.parametrize("nu", [0.0, 4.0])
+def test_metric_matrix_is_the_sum_it_stands_for(nu):
+    """G built in one buffer has the entries of I + (mu-1)Q + nu 11^T."""
+    block = resonant.enumerate_block(12, 12)
+    h = resonant.build_block_hamiltonian(block, resonant.CouplingScheme("truncated"))
+    spec = linalg.normalize_spectrum(linalg.eigendecompose(h))
+    q = nonlocality_matrix(spec, resonant.ResonantClassifier(block, 4))
+    mu, d = float(spec.dim), spec.dim
+    g = ComplexityMetric(mu=mu, nu=nu, q=q).matrix(d)
+    expect = np.eye(d) + (mu - 1.0) * q.entries + nu * np.ones((d, d))
+    assert np.all(g == expect)
+    assert g.flags.writeable and g.flags.c_contiguous
+
+
 def test_embedding_map_squares_to_metric():
     rng = np.random.default_rng(5)
     e = random_normalized(rng, 12)

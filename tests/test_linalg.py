@@ -7,6 +7,7 @@ import pytest
 from evolat.linalg import (
     HermitianMatrix,
     Spectrum,
+    _hermiticity,
     atomic_write,
     eigendecompose,
     normalize_energies,
@@ -35,6 +36,21 @@ def test_hermitian_tolerance_scales_with_entries():
     big = np.full((2, 2), 1.0e4)
     big[0, 1] += 1.0e-13
     HermitianMatrix(big)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_hermiticity_check_is_the_two_temporary_one_bit_for_bit(dtype):
+    """One work buffer gives the deviation and scale of
+    |m - m^dagger|.max() and max(|m|.max(), 1) to the bit."""
+    rng = np.random.default_rng(8)
+    for d, size in ((1, 1.0), (7, 1e-3), (40, 1.0), (40, 3e5)):
+        a = size * rng.standard_normal((d, d))
+        if dtype is np.complex128:
+            a = a + 1j * size * rng.standard_normal((d, d))
+        for m in (a, (a + a.conj().T) / 2.0, a + 1e-13 * a.T):
+            dev, scale = _hermiticity(m)
+            assert dev == np.abs(m - m.conj().T).max()
+            assert scale == max(np.abs(m).max(), 1.0)
 
 
 def test_eigendecompose_identity():

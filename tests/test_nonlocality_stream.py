@@ -118,28 +118,39 @@ def test_resonant_blocks_and_q_are_the_gathered_ones_bit_for_bit(
 
 
 def test_block_rows_is_the_budget_above_a_floor_of_half_the_dimension(monkeypatch):
-    assert engine.block_rows(5604, 16) == 2802  # (30,30): 374 rows fit in 32 MiB
-    assert engine.block_rows(627, 16) == Q_BLOCK_BYTES // (627 * 16) == 3344
+    """The floor is dim // 2 rows, but never more than Q_BLOCK_MIN_ROWS."""
+    assert engine.Q_BLOCK_MIN_ROWS == 256
+    assert engine.block_rows(5604, 16) == 256  # (30,30): 46 rows fit in 4 MiB
+    assert engine.block_rows(1575, 16) == 256  # (24,24): 166 rows fit
+    assert engine.block_rows(627, 16) == Q_BLOCK_BYTES // (627 * 16) == 418
     assert engine.block_rows(1, 16) == Q_BLOCK_BYTES // 16
     monkeypatch.setattr(engine, "Q_BLOCK_BYTES", 0)
-    assert [engine.block_rows(d, 8) for d in (1, 2, 3, 42)] == [1, 1, 1, 21]
+    assert [engine.block_rows(d, 8) for d in (1, 2, 3, 42, 512, 513, 5604)] == [
+        1, 1, 1, 21, 256, 256, 256]
     monkeypatch.setattr(engine, "Q_BLOCK_BYTES", 100 * 8 * 30)
     assert engine.block_rows(100, 8) == 50
     assert engine.block_rows(30, 8) == 100
+    monkeypatch.setattr(engine, "Q_BLOCK_MIN_ROWS", 10)
+    assert engine.block_rows(100, 8) == 30
+    assert engine.block_rows(1000, 8) == 10
 
 
 def test_resonant_blocks_respect_the_budget(monkeypatch):
     """Blocks hold the budget's rows, but never fewer than dim // 2 (21
-    here); splitting the rows over many blocks leaves Q unchanged."""
+    here) or Q_BLOCK_MIN_ROWS, whichever is less; splitting the rows over
+    many blocks leaves Q unchanged and exactly symmetric."""
     block, spec = resonant_spectrum(10, "truncated")
     cls = resonant.ResonantClassifier(block, 4)
     whole = nonlocality_matrix(spec, cls)
-    for budget_rows in (8, 30):  # below the floor, above it
+    # below the floor of dim // 2, above it, and below a floor under dim // 2
+    for floor, budget_rows, rows in ((256, 8, 21), (256, 30, 30), (5, 2, 5)):
+        monkeypatch.setattr(engine, "Q_BLOCK_MIN_ROWS", floor)
         monkeypatch.setattr(engine, "Q_BLOCK_BYTES", budget_rows * spec.dim * 16)
         blocks = list(cls.local_diagonals(spec))
         assert len(blocks) > 10
-        assert max(z.shape[0] for z in blocks) == max(spec.dim // 2, budget_rows)
+        assert max(z.shape[0] for z in blocks) == rows
         q = nonlocality_matrix(spec, cls)
+        assert np.array_equal(q.entries, q.entries.T)
         assert np.abs(q.entries - whole.entries).max() < 1e-12
 
 
@@ -241,17 +252,22 @@ def test_syk_pauli_stream_matches_dense_products(n):
 
 def test_syk_blocks_respect_the_budget(monkeypatch):
     """Blocks hold the budget's rows, but never fewer than dim // 2 (16
-    here); splitting the rows over many blocks leaves Q unchanged."""
+    here) or Q_BLOCK_MIN_ROWS, whichever is less; splitting the rows over
+    many blocks leaves Q unchanged and exactly symmetric."""
     rep, spec = chaotic4_spectrum(10)
     cls = syk.MonomialClassifier(rep, 4)
     whole = nonlocality_matrix(spec, cls)
-    for budget_rows in (7, 100):  # below the floor, above it
+    # below the floor of dim // 2, above it, and below a floor under dim // 2
+    for floor, budget_rows, rows in ((256, 7, 16), (256, 100, 100), (3, 2, 3)):
+        monkeypatch.setattr(engine, "Q_BLOCK_MIN_ROWS", floor)
         monkeypatch.setattr(engine, "Q_BLOCK_BYTES", budget_rows * spec.dim * 64)
         blocks = list(cls.local_diagonals(spec))
         assert len(blocks) > 1
-        assert max(z.shape[0] for z in blocks) == max(spec.dim // 2, budget_rows)
+        assert max(z.shape[0] for z in blocks) == rows
         assert sum(z.shape[0] for z in blocks) == len(local_subsets(rep, 4))
-        assert np.abs(nonlocality_matrix(spec, cls).entries - whole.entries).max() < 1e-12
+        q = nonlocality_matrix(spec, cls)
+        assert np.array_equal(q.entries, q.entries.T)
+        assert np.abs(q.entries - whole.entries).max() < 1e-12
 
 
 def test_syk_q_memory_is_one_block_plus_dense_arrays(monkeypatch):
@@ -267,6 +283,72 @@ def test_syk_q_memory_is_one_block_plus_dense_arrays(monkeypatch):
     assert traced_peak(lambda: nonlocality_matrix(spec, cls)) < Q_BLOCK_BYTES + 4 * d * d * 16
     monkeypatch.setattr(engine, "Q_BLOCK_BYTES", 2**20)
     assert traced_peak(lambda: nonlocality_matrix(spec, cls)) < 2**20 + 3 * d * d * 16
+
+
+needs_dsyrk = pytest.mark.skipif(engine._DSYRK is None, reason="numpy's BLAS has no dsyrk64_")
+
+
+def bundles_ilp64_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return blas.get("name") == "scipy-openblas" and "USE64BITINT" in blas.get(
+        "openblas configuration", "")
+
+
+@pytest.mark.skipif(not bundles_ilp64_openblas(), reason="numpy does not run on scipy-openblas64")
+def test_numpy_dsyrk_resolves_with_its_bundled_openblas():
+    """A numpy on its bundled ILP64 OpenBLAS accumulates Q by dsyrk, and
+    never falls back to z.T @ z unnoticed."""
+    assert engine._DSYRK is not None
+    assert engine._DSYRK.__name__ == "scipy_cblas_dsyrk64_"
+
+
+@needs_dsyrk
+def test_fallback_q_matches_the_dsyrk_q(monkeypatch):
+    """Without the kernel, numpy's z.T @ z gives the same Q to roundoff,
+    and both are exactly symmetric; blocks of 1 row, 20 rows and all rows."""
+    block, spec = resonant_spectrum(12, "truncated")
+    rep, cspec = chaotic4_spectrum(10)
+    cases = [(spec, resonant.ResonantClassifier(block, 4)), (cspec, syk.MonomialClassifier(rep, 4))]
+    monkeypatch.setattr(engine, "Q_BLOCK_MIN_ROWS", 1)
+    for budget_rows in (1, 20, 10**6):
+        for sp, cls in cases:
+            monkeypatch.setattr(engine, "Q_BLOCK_BYTES", budget_rows * sp.dim * 64)
+            fast = nonlocality_matrix(sp, cls).entries
+            with monkeypatch.context() as m:
+                m.setattr(engine, "_DSYRK", None)
+                slow = nonlocality_matrix(sp, cls).entries
+            assert np.array_equal(fast, fast.T) and np.array_equal(slow, slow.T)
+            assert np.abs(fast - slow).max() < 1e-14
+
+
+@pytest.mark.parametrize("kernel", ["dsyrk", "fallback"])
+def test_blocks_of_zero_and_one_rows(monkeypatch, kernel):
+    if kernel == "fallback":
+        monkeypatch.setattr(engine, "_DSYRK", None)
+    elif engine._DSYRK is None:
+        pytest.skip("numpy's BLAS has no dsyrk64_")
+    d = 300  # more than one mirror panel
+    spec = linalg.Spectrum(np.linspace(-0.5, 0.5, d), np.eye(d))
+    assert np.array_equal(nonlocality_matrix(spec, BlockClassifier(np.zeros((0, d)))).entries, np.eye(d))
+    rows = np.eye(d)[[3, 250, 299]]  # three unit vectors, one row per block
+    q = nonlocality_matrix(spec, BlockClassifier(np.zeros((0, d)), *rows[:, None]))
+    assert np.array_equal(q.entries, np.diag(np.where(rows.sum(axis=0), 0.0, 1.0)))
+    u = np.random.default_rng(5).standard_normal(d)
+    u /= np.linalg.norm(u)
+    q = nonlocality_matrix(spec, BlockClassifier(u[None, :], np.zeros((0, d)))).entries
+    assert np.array_equal(q, q.T)
+    assert np.abs(q - (np.eye(d) - np.outer(u, u))).max() < 1e-15
+
+
+@needs_dsyrk
+def test_dsyrk_q_holds_no_second_dense_array(monkeypatch):
+    """On the dsyrk path Q is the only dim x dim array: the peak is Q and
+    one block, plus two panels of the mirror or the symmetry check."""
+    d, rows, panel = 600, 100, 64
+    monkeypatch.setattr(engine, "Q_BLOCK_MIN_ROWS", panel)
+    spec = linalg.Spectrum(np.linspace(-0.5, 0.5, d), np.eye(d))
+    peak = traced_peak(lambda: nonlocality_matrix(spec, FreshBlocks(rows, 5)))
+    assert peak < d * d * 8 + rows * d * 8 + 2 * panel * d * 8
 
 
 def test_complex_block_above_tolerance_raises():
