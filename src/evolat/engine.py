@@ -31,11 +31,10 @@ AUDIT_TOL = 1e-8
 IMAG_TOL = 1e-8
 # the special-unitary restriction's nu, per unit of mu
 SU_NU_FACTOR = 1e3
-# working-set budget for one block of local diagonals while it is built
-Q_BLOCK_BYTES = 4 * 2**20
-# block_rows' floor, capped at dim // 2, where dsyrk's cost per row levels
-# off; also the height of the panels that mirror and check Q
-Q_BLOCK_MIN_ROWS = 256
+# rows of every block of local diagonals but the last: dsyrk's cost per row
+# levels off from 256 rows up (2 cores, dim = 5604: 573 us a row at 32 rows,
+# 296-461 us from 256 up); also the height of the panels that mirror and check Q
+Q_BLOCK_ROWS = 256
 
 
 class LocalityClassifier(Protocol):
@@ -45,19 +44,10 @@ class LocalityClassifier(Protocol):
     local_diagonals returns an iterable of real 2-D blocks of shape
     (rows, dim); over all blocks, each row is <n|T_alpha|n> over eigenstates
     n for one T_alpha.  Blocks are built on demand, so the whole
-    (n_local, dim) array never exists; block_rows sizes them, to
-    Q_BLOCK_BYTES above a floor of min(Q_BLOCK_MIN_ROWS, dim // 2) rows."""
+    (n_local, dim) array never exists; each holds Q_BLOCK_ROWS rows, the
+    last one excepted."""
 
     def local_diagonals(self, spectrum: Spectrum) -> Iterable[np.ndarray]: ...
-
-
-def block_rows(dim: int, bytes_per_entry: int) -> int:
-    """Rows of a diagonal block of width dim: as many as fit in Q_BLOCK_BYTES
-    at bytes_per_entry bytes per entry, but never fewer than Q_BLOCK_MIN_ROWS
-    or dim // 2, whichever is less.  Each block is one dsyrk into Q, whose
-    cost per row climbs below that floor: on a 2-core host, 573 us at 32 rows
-    and 296-461 us from 256 rows up at dim = 5604."""
-    return max(1, min(Q_BLOCK_MIN_ROWS, dim // 2), Q_BLOCK_BYTES // (bytes_per_entry * dim))
 
 
 def _numpy_dsyrk():
@@ -109,7 +99,7 @@ class NonlocalityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("expected a square matrix")
         # by row panels, so no temporary is larger than a panel
-        k = Q_BLOCK_MIN_ROWS
+        k = Q_BLOCK_ROWS
         dev = max(np.abs(m[r : r + k] - m[:, r : r + k].T).max() for r in range(0, m.shape[0], k))
         if dev > 1e-12 * max(1.0, m.max(), -m.min()):
             raise ValueError(f"matrix not symmetric, deviation {dev:.3e}")
@@ -154,8 +144,8 @@ def nonlocality_matrix(spectrum: Spectrum, classifier: LocalityClassifier) -> No
         else:  # row-major (101), upper (121), transposed (112): q = -z^T z + q
             _DSYRK(101, 121, 112, d, z.shape[0], -1.0, z.ctypes.data, d, 1.0, q.ctypes.data, d)
         del z  # release the block before the next one is built
-    for r in range(0, d, Q_BLOCK_MIN_ROWS):  # the lower triangle from the upper
-        s = min(r + Q_BLOCK_MIN_ROWS, d)
+    for r in range(0, d, Q_BLOCK_ROWS):  # the lower triangle from the upper
+        s = min(r + Q_BLOCK_ROWS, d)
         np.copyto(q[r:s, :s], q[:s, r:s].T, where=np.tri(s - r, s, r - 1, dtype=bool))
     evals = np.linalg.eigvalsh(q)
     if evals[0] < -Q_EIGENVALUE_TOL or evals[-1] > 1.0 + Q_EIGENVALUE_TOL:

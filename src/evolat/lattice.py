@@ -48,6 +48,8 @@ def _target(target, dim: int) -> np.ndarray:
     t = np.array(target, dtype=float)
     if t.ndim not in (1, 2) or t.shape[-1] != dim:
         raise ValueError(f"target shape {t.shape} does not match basis dimension {dim}")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("target has a non-finite entry")
     t.flags.writeable = False
     return t
 
@@ -82,6 +84,8 @@ class TriangularLattice:
         r = np.array(self.r, dtype=float)
         if r.ndim != 2 or r.shape[0] != r.shape[1] or r.size == 0:
             raise ValueError(f"basis must be square, got shape {r.shape}")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("basis has a non-finite entry")
         if np.any(np.tril(r, -1)):
             raise ValueError("r must be upper triangular")
         diag = np.diag(r)

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .engine import block_rows
+from . import engine
 from .linalg import HermitianMatrix, Spectrum
 
 MAX_BLOCK_STATES = 20_000
@@ -266,8 +266,7 @@ class ResonantClassifier:
         # row-major pairs: state a owns rows runs[a]:runs[a + 1], (a, a) first
         a, b = np.nonzero(np.triu(local))
         runs = np.searchsorted(a, np.arange(v.shape[0] + 1))
-        # room for the block and one copy of it, the complex branch's real rows
-        rows = block_rows(v.shape[1], 2 * v.itemsize)
+        rows = engine.Q_BLOCK_ROWS  # pairs per block
         for start in range(0, a.size, rows):
             stop = min(start + rows, a.size)
             prod = v[b[start:stop]]

@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .engine import block_rows, real_block
+from . import engine
 from .linalg import HermitianMatrix, Spectrum
 
 # Refuse, before allocating it, a dense Hamiltonian whose build and eigh
@@ -284,7 +284,7 @@ class MonomialClassifier:
         modes = [_combinations(self.rep.n_modes, w) for w in range(1, self.threshold + 1)]
         x, z, c = map(np.concatenate, zip(*(monomial_strings(self.rep, m) for m in modes)))
         d, v, j = spectrum.dim, spectrum.vectors, np.arange(spectrum.dim)
-        rows = block_rows(d, 64)  # block, signs, complex rows, real rows
+        rows = engine.Q_BLOCK_ROWS
         block, fill = None, 0
         for mask in _distinct(x):
             a = np.asarray(v[j ^ mask], dtype=np.complex128, order="C")  # a copy
@@ -297,7 +297,7 @@ class MonomialClassifier:
                     block = np.empty((rows, d))
                 part, group = group[: rows - fill], group[rows - fill:]
                 diag = (_signs(z[part], j) @ a).view(np.complex128)
-                block[fill : fill + part.size] = real_block(c[part, None] * diag)
+                block[fill : fill + part.size] = engine.real_block(c[part, None] * diag)
                 fill += part.size
                 if fill == rows:
                     yield block

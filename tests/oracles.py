@@ -8,7 +8,8 @@ import operator
 import numpy as np
 
 from evolat import lattice as lattice_module
-from evolat.engine import AUDIT_TOL, TWO_PI, block_rows
+from evolat import engine
+from evolat.engine import AUDIT_TOL, TWO_PI
 from evolat.lattice import (
     LLL_DELTA_DEFAULT,
     IterationCapError,
@@ -459,7 +460,7 @@ def gathered_local_diagonals(classifier: ResonantClassifier, spectrum) -> list:
     v = spectrum.vectors
     a, b = np.nonzero(np.triu(local))
     scale = np.where(a == b, 1.0, np.sqrt(2.0))[:, None]
-    rows = block_rows(v.shape[1], 2 * v.itemsize)
+    rows = engine.Q_BLOCK_ROWS
     blocks = []
     for start in range(0, a.size, rows):
         sl = slice(start, start + rows)

@@ -95,8 +95,11 @@ def test_bad_time_grid_refused_before_the_model(tmp_path, monkeypatch, command, 
     {"start": 1.0, "count": 20},
     {"grid": "abc"},
     {"start": 1.0, "stop": 2.0, "count": "many"},
+    {"start": 1.0, "stop": 2.0, "count": 20.9},
+    {"start": 1.0, "stop": 2.0, "count": True},
     5,
-], ids=["no-stop", "grid-not-numbers", "count-not-int", "not-an-object"])
+], ids=["no-stop", "grid-not-numbers", "count-not-int", "count-fraction", "count-bool",
+        "not-an-object"])
 def test_malformed_times_refused_with_a_message(tmp_path, monkeypatch, command, times):
     monkeypatch.setattr(cli, "_build_model", refuse_model)
     with pytest.raises(SystemExit, match="^times: "):
@@ -220,11 +223,12 @@ def test_syk_threshold_outside_modes_refused_before_the_model(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("window", [
-    [2000.0, 2100.0], [2000.0, 4000.0, 1000.0], [1000.0, 3000.0], [2000.0], ["a", "b"],
-], ids=["3-samples", "3-strided-samples", "outside-grid", "one-entry", "not-numbers"])
+    [2000.0, 2100.0], [2000.0, 4000.0, 1000.0], [1000.0, 3000.0], [2000.0], ["a", "b"], 5, None,
+], ids=["3-samples", "3-strided-samples", "outside-grid", "one-entry", "not-numbers",
+        "a-number", "null"])
 def test_bad_plateau_window_refused_before_the_model(tmp_path, monkeypatch, window):
     monkeypatch.setattr(cli, "_build_model", refuse_model)
-    with pytest.raises(SystemExit, match="window"):
+    with pytest.raises(SystemExit, match="^window: "):
         run(tmp_path, "plateau", dict(SYNTH_TRACE, window=window), "bad_window")
 
 
@@ -630,7 +634,10 @@ def test_cvp_requires_instance_fields(tmp_path):
     ([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0, 3.0], "does not match basis dimension 2"),
     ([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0], "rank deficient"),
     ("abc", [1.0, 2.0], "could not convert string to float"),
-], ids=["non-square", "target-length", "rank-deficient", "not-numbers"])
+    ([[float("nan"), 0.0], [0.0, 1.0]], [1.0, 2.0], "basis has a non-finite entry"),
+    ([[1.0, 0.0], [0.0, 1.0]], [float("inf"), 2.0], "target has a non-finite entry"),
+], ids=["non-square", "target-length", "rank-deficient", "not-numbers", "nan-basis",
+        "infinite-target"])
 def test_cvp_refuses_a_malformed_instance_with_a_message(tmp_path, basis, target, message):
     with pytest.raises(SystemExit, match=f"^cvp instance: .*{message}"):
         run(tmp_path, "cvp", {"basis": basis, "target": target}, "cvp_bad")

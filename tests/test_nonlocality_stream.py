@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from evolat import engine, linalg, resonant, syk
-from evolat.engine import Q_BLOCK_BYTES, nonlocality_matrix
+from evolat.engine import Q_BLOCK_ROWS, nonlocality_matrix
 
 from oracles import (
     dense_majoranas,
@@ -85,21 +85,18 @@ class GatheredClassifier:
         return gathered_local_diagonals(self.classifier, spectrum)
 
 
-@pytest.mark.parametrize("block_bytes", [Q_BLOCK_BYTES, 4096], ids=["one-block", "half-dim-blocks"])
+@pytest.mark.parametrize("rows", [Q_BLOCK_ROWS, 21], ids=["default-rows", "half-dim-blocks"])
 @pytest.mark.parametrize("vectors", ["real", "complex"])
 @pytest.mark.parametrize("kind", ["truncated", "random"])
-def test_resonant_blocks_and_q_are_the_gathered_ones_bit_for_bit(
-    monkeypatch, kind, vectors, block_bytes
-):
+def test_resonant_blocks_and_q_are_the_gathered_ones_bit_for_bit(monkeypatch, kind, vectors, rows):
     """One gather of V_b per block, times conj(V_a) per state run, gives the
-    blocks and the Q of two gathers and a scale pass, bit for bit; small
+    blocks and the Q of two gathers and a scale pass, bit for bit; the
     blocks cut the runs of one state apart."""
     block, spec = resonant_spectrum(10, kind)
     if vectors == "complex":
         phases = np.exp(1j * np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, spec.dim))
         spec = linalg.Spectrum(spec.energies, spec.vectors * phases)
-    monkeypatch.setattr(engine, "Q_BLOCK_BYTES", block_bytes)
-    rows = engine.block_rows(spec.dim, 2 * spec.vectors.itemsize)
+    monkeypatch.setattr(engine, "Q_BLOCK_ROWS", rows)
     straddled = False
     for threshold in (0, 2, 4):
         cls = resonant.ResonantClassifier(block, threshold)
@@ -114,44 +111,57 @@ def test_resonant_blocks_and_q_are_the_gathered_ones_bit_for_bit(
         a = np.nonzero(np.triu(resonant.locality_table(block) <= threshold))[0]
         cuts = np.arange(rows, a.size, rows)
         straddled |= bool(np.any(a[cuts - 1] == a[cuts]))
-    assert straddled == (block_bytes < Q_BLOCK_BYTES)
+    assert straddled
 
 
-def test_block_rows_is_the_budget_above_a_floor_of_half_the_dimension(monkeypatch):
-    """The floor is dim // 2 rows, but never more than Q_BLOCK_MIN_ROWS."""
-    assert engine.Q_BLOCK_MIN_ROWS == 256
-    assert engine.block_rows(5604, 16) == 256  # (30,30): 46 rows fit in 4 MiB
-    assert engine.block_rows(1575, 16) == 256  # (24,24): 166 rows fit
-    assert engine.block_rows(627, 16) == Q_BLOCK_BYTES // (627 * 16) == 418
-    assert engine.block_rows(1, 16) == Q_BLOCK_BYTES // 16
-    monkeypatch.setattr(engine, "Q_BLOCK_BYTES", 0)
-    assert [engine.block_rows(d, 8) for d in (1, 2, 3, 42, 512, 513, 5604)] == [
-        1, 1, 1, 21, 256, 256, 256]
-    monkeypatch.setattr(engine, "Q_BLOCK_BYTES", 100 * 8 * 30)
-    assert engine.block_rows(100, 8) == 50
-    assert engine.block_rows(30, 8) == 100
-    monkeypatch.setattr(engine, "Q_BLOCK_MIN_ROWS", 10)
-    assert engine.block_rows(100, 8) == 30
-    assert engine.block_rows(1000, 8) == 10
+def block_heights(blocks) -> list:
+    return [z.shape[0] for z in blocks]
+
+
+def assert_all_full_but_the_last(heights, rows):
+    assert len(heights) > 1 and 0 < heights[-1] <= rows
+    assert heights[:-1] == [rows] * (len(heights) - 1)
+
+
+def test_blocks_hold_q_block_rows_but_the_last():
+    """At default settings every block holds Q_BLOCK_ROWS rows but the last:
+    the resonant gathers of real and of complex eigenvectors, whose
+    imaginary rows follow each gather's real ones, and the SYK monomials."""
+    block, spec = resonant_spectrum(12, "random")
+    phases = np.exp(1j * np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, spec.dim))
+    cspec = linalg.Spectrum(spec.energies, spec.vectors * phases)
+    cls = resonant.ResonantClassifier(block, 4)
+    pairs = np.count_nonzero(np.triu(resonant.locality_table(block) <= 4))  # a <= b
+    assert pairs > 6 * Q_BLOCK_ROWS
+    real = block_heights(cls.local_diagonals(spec))
+    assert_all_full_but_the_last(real, Q_BLOCK_ROWS)
+    assert sum(real) == pairs
+    both = block_heights(cls.local_diagonals(cspec))
+    assert both[::2] == real
+    assert sum(both[1::2]) == pairs - spec.dim  # one imaginary row per pair a < b
+    rep, sspec = chaotic4_spectrum(10)
+    monomials = block_heights(syk.MonomialClassifier(rep, 4).local_diagonals(sspec))
+    assert_all_full_but_the_last(monomials, Q_BLOCK_ROWS)
+    assert sum(monomials) == len(local_subsets(rep, 4))
 
 
 def test_resonant_blocks_respect_the_budget(monkeypatch):
-    """Blocks hold the budget's rows, but never fewer than dim // 2 (21
-    here) or Q_BLOCK_MIN_ROWS, whichever is less; splitting the rows over
-    many blocks leaves Q unchanged and exactly symmetric."""
+    """Blocks hold Q_BLOCK_ROWS rows, the last one excepted; splitting the
+    rows over many blocks leaves Q unchanged, within roundoff of the dense
+    formula and exactly symmetric."""
     block, spec = resonant_spectrum(10, "truncated")
     cls = resonant.ResonantClassifier(block, 4)
     whole = nonlocality_matrix(spec, cls)
-    # below the floor of dim // 2, above it, and below a floor under dim // 2
-    for floor, budget_rows, rows in ((256, 8, 21), (256, 30, 30), (5, 2, 5)):
-        monkeypatch.setattr(engine, "Q_BLOCK_MIN_ROWS", floor)
-        monkeypatch.setattr(engine, "Q_BLOCK_BYTES", budget_rows * spec.dim * 16)
+    dense = dense_resonant_q(cls, spec)
+    for rows in (21, 30, 5):
+        monkeypatch.setattr(engine, "Q_BLOCK_ROWS", rows)
         blocks = list(cls.local_diagonals(spec))
         assert len(blocks) > 10
-        assert max(z.shape[0] for z in blocks) == rows
+        assert_all_full_but_the_last(block_heights(blocks), rows)
         q = nonlocality_matrix(spec, cls)
         assert np.array_equal(q.entries, q.entries.T)
         assert np.abs(q.entries - whole.entries).max() < 1e-12
+        assert np.abs(q.entries - dense).max() < 1e-12
 
 
 def traced_peak(fn) -> int:
@@ -167,10 +177,10 @@ def traced_peak(fn) -> int:
 
 def test_resonant_block_working_set(monkeypatch):
     """Once the pair list exists, building a block holds at most two arrays
-    of its size, within the budget."""
+    of its rows x dim float64 entries."""
     block, spec = resonant_spectrum(12, "truncated")
-    budget = 64 * 1024
-    monkeypatch.setattr(engine, "Q_BLOCK_BYTES", budget)
+    rows = 50
+    monkeypatch.setattr(engine, "Q_BLOCK_ROWS", rows)
     blocks = resonant.ResonantClassifier(block, 4).local_diagonals(spec)
     next(blocks)
 
@@ -178,7 +188,7 @@ def test_resonant_block_working_set(monkeypatch):
         for z in blocks:
             del z
 
-    assert traced_peak(consume) < budget + 4096
+    assert traced_peak(consume) < 2 * rows * spec.dim * 8 + 4096
 
 
 class BlockClassifier:
@@ -251,38 +261,39 @@ def test_syk_pauli_stream_matches_dense_products(n):
 
 
 def test_syk_blocks_respect_the_budget(monkeypatch):
-    """Blocks hold the budget's rows, but never fewer than dim // 2 (16
-    here) or Q_BLOCK_MIN_ROWS, whichever is less; splitting the rows over
-    many blocks leaves Q unchanged and exactly symmetric."""
+    """Blocks hold Q_BLOCK_ROWS rows, the last one excepted; splitting the
+    rows over many blocks leaves Q unchanged, within roundoff of the dense
+    formula and exactly symmetric."""
     rep, spec = chaotic4_spectrum(10)
     cls = syk.MonomialClassifier(rep, 4)
     whole = nonlocality_matrix(spec, cls)
-    # below the floor of dim // 2, above it, and below a floor under dim // 2
-    for floor, budget_rows, rows in ((256, 7, 16), (256, 100, 100), (3, 2, 3)):
-        monkeypatch.setattr(engine, "Q_BLOCK_MIN_ROWS", floor)
-        monkeypatch.setattr(engine, "Q_BLOCK_BYTES", budget_rows * spec.dim * 64)
-        blocks = list(cls.local_diagonals(spec))
-        assert len(blocks) > 1
-        assert max(z.shape[0] for z in blocks) == rows
-        assert sum(z.shape[0] for z in blocks) == len(local_subsets(rep, 4))
+    dense = dense_syk_q(cls, spec)
+    for rows in (16, 100, 3):
+        monkeypatch.setattr(engine, "Q_BLOCK_ROWS", rows)
+        heights = block_heights(cls.local_diagonals(spec))
+        assert_all_full_but_the_last(heights, rows)
+        assert sum(heights) == len(local_subsets(rep, 4))
         q = nonlocality_matrix(spec, cls)
         assert np.array_equal(q.entries, q.entries.T)
         assert np.abs(q.entries - whole.entries).max() < 1e-12
+        assert np.abs(q.entries - dense).max() < 1e-12
 
 
 def test_syk_q_memory_is_one_block_plus_dense_arrays(monkeypatch):
-    """chaotic4 at n = 16, threshold 4: the build stays within the block
-    budget plus a few D x D complex arrays.  Under a 1 MiB budget, where the
-    block no longer hides the rest, that is under three of them (Q, its Gram
-    matrix and one shared A_x); building each monomial as a dense matrix
-    took 4.5."""
+    """chaotic4 at n = 16, threshold 4: the build stays within one block of
+    rows x dim entries of 64 bytes (the block, its signs, and its complex
+    and real rows) plus a few D x D complex arrays.  Under 64-row blocks,
+    where the block no longer hides the rest, that is under three of them
+    (Q, its Gram matrix and one shared A_x); building each monomial as a
+    dense matrix took 4.5."""
     rep, spec = chaotic4_spectrum(16)
     cls = syk.MonomialClassifier(rep, 4)
     d = spec.dim
     assert d == 256
-    assert traced_peak(lambda: nonlocality_matrix(spec, cls)) < Q_BLOCK_BYTES + 4 * d * d * 16
-    monkeypatch.setattr(engine, "Q_BLOCK_BYTES", 2**20)
-    assert traced_peak(lambda: nonlocality_matrix(spec, cls)) < 2**20 + 3 * d * d * 16
+    peak = traced_peak(lambda: nonlocality_matrix(spec, cls))
+    assert peak < Q_BLOCK_ROWS * d * 64 + 4 * d * d * 16
+    monkeypatch.setattr(engine, "Q_BLOCK_ROWS", 64)
+    assert traced_peak(lambda: nonlocality_matrix(spec, cls)) < 64 * d * 64 + 3 * d * d * 16
 
 
 needs_dsyrk = pytest.mark.skipif(engine._DSYRK is None, reason="numpy's BLAS has no dsyrk64_")
@@ -309,10 +320,9 @@ def test_fallback_q_matches_the_dsyrk_q(monkeypatch):
     block, spec = resonant_spectrum(12, "truncated")
     rep, cspec = chaotic4_spectrum(10)
     cases = [(spec, resonant.ResonantClassifier(block, 4)), (cspec, syk.MonomialClassifier(rep, 4))]
-    monkeypatch.setattr(engine, "Q_BLOCK_MIN_ROWS", 1)
-    for budget_rows in (1, 20, 10**6):
+    for rows in (1, 20, 10**4):
         for sp, cls in cases:
-            monkeypatch.setattr(engine, "Q_BLOCK_BYTES", budget_rows * sp.dim * 64)
+            monkeypatch.setattr(engine, "Q_BLOCK_ROWS", rows)
             fast = nonlocality_matrix(sp, cls).entries
             with monkeypatch.context() as m:
                 m.setattr(engine, "_DSYRK", None)
@@ -345,7 +355,7 @@ def test_dsyrk_q_holds_no_second_dense_array(monkeypatch):
     """On the dsyrk path Q is the only dim x dim array: the peak is Q and
     one block, plus two panels of the mirror or the symmetry check."""
     d, rows, panel = 600, 100, 64
-    monkeypatch.setattr(engine, "Q_BLOCK_MIN_ROWS", panel)
+    monkeypatch.setattr(engine, "Q_BLOCK_ROWS", panel)
     spec = linalg.Spectrum(np.linspace(-0.5, 0.5, d), np.eye(d))
     peak = traced_peak(lambda: nonlocality_matrix(spec, FreshBlocks(rows, 5)))
     assert peak < d * d * 8 + rows * d * 8 + 2 * panel * d * 8
@@ -382,8 +392,8 @@ def test_classifier_must_yield_2d_blocks():
 
 def test_q_memory_is_one_block_plus_dense_arrays():
     """(16,16) at threshold 4: the earlier complex pairs x D array alone took
-    pairs * D * 16 bytes (77 MiB).  The streamed build stays within the block
-    budget plus a few D x D float64 arrays."""
+    pairs * D * 16 bytes (77 MiB).  The streamed build stays within one
+    block and one copy of it plus a few D x D float64 arrays."""
     block = resonant.enumerate_block(16, 16)
     h = resonant.build_block_hamiltonian(block, resonant.CouplingScheme("truncated"))
     spec = linalg.normalize_spectrum(linalg.eigendecompose(h))
@@ -392,7 +402,7 @@ def test_q_memory_is_one_block_plus_dense_arrays():
     cls = resonant.ResonantClassifier(block, 4)
     dense_bytes = len(local_pairs(block, 4)) * d * 16
     peak = traced_peak(lambda: nonlocality_matrix(spec, cls))
-    assert peak < Q_BLOCK_BYTES + 6 * d * d * 8
+    assert peak < 2 * Q_BLOCK_ROWS * d * 8 + 6 * d * d * 8
     assert peak < 0.5 * dense_bytes
 
 
