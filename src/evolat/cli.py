@@ -74,7 +74,7 @@ PRESETS = {
         "model": {"family": "resonant", "kind": "truncated",
                   "n_particles": 12, "total_level": 12},
     },
-    # the paper's (30,30) block, D = 5604: 745 s and a 1,289 MiB peak on 2 cores
+    # the paper's (30,30) block, D = 5604: 12-15 min and a 1,011 MiB peak on 2 cores
     "resonant-truncated-bound-full": {
         "model": {"family": "resonant", "kind": "truncated",
                   "n_particles": 30, "total_level": 30},
@@ -365,12 +365,13 @@ def _sweep(cfg: dict, times: np.ndarray, outdir: Path):
         pipeline = None
         trace = engine.bi_invariant_trace(energies, times)
     else:
-        pipeline = engine.ComplexityPipeline(energies, metric, chain)
+        mu, g = metric.mu, metric.matrix(energies.size)
+        del metric  # the pipeline needs G alone, so Q goes before the Cholesky
+        pipeline = engine.ComplexityPipeline(energies, g, chain)
         trace = pipeline.sweep(times)
     rows = [f"{_fmt(t)},{_fmt(v)},{trace.method}" for t, v in zip(trace.times, trace.values)]
     text = _csv_text(_config_hash(cfg), "trace", "t,c_bound,method", rows)
     linalg.atomic_write(outdir / "bound.csv", text)
-    mu = pipeline.metric.mu if pipeline is not None else 1.0
     meta = _meta(
         cfg,
         model=bundle.name,

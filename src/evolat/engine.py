@@ -23,7 +23,7 @@ from typing import Iterable, Protocol, Sequence
 import numpy as np
 
 from .lattice import DEFAULT_CHAIN, SolverChain, TriangularLattice, round_half_away
-from .linalg import Spectrum
+from .linalg import Spectrum, numpy_blas_kernel
 
 TWO_PI = 2.0 * np.pi
 Q_EIGENVALUE_TOL = 1e-9
@@ -50,25 +50,11 @@ class LocalityClassifier(Protocol):
     def local_diagonals(self, spectrum: Spectrum) -> Iterable[np.ndarray]: ...
 
 
-def _numpy_dsyrk():
-    """cblas_dsyrk of the OpenBLAS numpy runs on, or None.  numpy's wheels
-    bundle the ILP64 scipy-openblas build (numpy.libs/libscipy_openblas64_*),
-    and the symbol is looked up through numpy's own extension module, so it
-    comes from the library numpy has loaded and from no other BLAS."""
-    try:
-        from numpy._core import _multiarray_umath
-
-        kernel = ctypes.CDLL(_multiarray_umath.__file__).scipy_cblas_dsyrk64_
-    except (ImportError, OSError, AttributeError):
-        return None
-    i32, i64, f64, ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    kernel.argtypes = [i32, i32, i32, i64, i64, f64, ptr, i64, f64, ptr, i64]
-    kernel.restype = None
-    return kernel
-
-
 # resolved once; None falls back to numpy's z.T @ z
-_DSYRK = _numpy_dsyrk()
+_I32, _I64, _F64, _PTR = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+_DSYRK = numpy_blas_kernel(
+    "scipy_cblas_dsyrk64_", None, _I32, _I32, _I32, _I64, _I64, _F64, _PTR, _I64, _F64, _PTR, _I64
+)
 
 
 def real_block(z: np.ndarray) -> np.ndarray:
@@ -242,19 +228,26 @@ class PlateauStats:
 class ComplexityPipeline:
     """Caches the lattice a solver chain works on, reduced by LLL when the
     chain asks for it, for one (energies, metric, chain) combination, so
-    that a time sweep only pays for the solve."""
+    that a time sweep only pays for the solve.
+
+    metric is a ComplexityMetric or its matrix G, which the pipeline then
+    keeps as it is: a caller that hands over G alone lets Q go before the
+    Cholesky.  The lattice holds the Cholesky factor itself, not a copy."""
 
     def __init__(
         self,
         energies: np.ndarray,
-        metric: ComplexityMetric | None = None,
+        metric: ComplexityMetric | np.ndarray | None = None,
         chain: str | SolverChain = DEFAULT_CHAIN,
     ):
         self.energies = np.asarray(energies, dtype=float).copy()
-        self.metric = metric if metric is not None else ComplexityMetric()
         self.chain = chain if isinstance(chain, SolverChain) else SolverChain.parse(chain)
         self.dim = self.energies.size
-        self.metric_matrix = self.metric.matrix(self.dim)
+        if metric is None or isinstance(metric, ComplexityMetric):
+            metric = (metric or ComplexityMetric()).matrix(self.dim)
+        elif metric.shape != (self.dim, self.dim):
+            raise ValueError(f"metric matrix of shape {metric.shape} for dimension {self.dim}")
+        self.metric_matrix = metric
         try:
             r = np.linalg.cholesky(self.metric_matrix).T
         except np.linalg.LinAlgError:

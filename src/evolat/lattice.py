@@ -27,6 +27,8 @@ from time import perf_counter
 
 import numpy as np
 
+from .linalg import PANEL_ROWS
+
 LLL_DELTA_DEFAULT = 0.99
 GREEDY_MAX_MOVES = 10_000
 ENUM_MAX_NODES = 1_000_000
@@ -60,6 +62,8 @@ def triangularize(columns) -> tuple[np.ndarray, np.ndarray]:
     b = np.asarray(columns, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError(f"basis must be square, got shape {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("basis has a non-finite entry")
     q, r = np.linalg.qr(b)
     flip = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     q *= flip
@@ -75,18 +79,22 @@ class TriangularLattice:
     """The problem min |r @ k - target| over integer k: the lattice spanned
     by the columns of an upper-triangular r with positive diagonal, and a
     target in the same coordinates.  A target of shape (T, dim) poses T
-    such problems on the same lattice, one per row."""
+    such problems on the same lattice, one per row.
+
+    A float64 r is kept as it is, not copied, and made read-only."""
 
     r: np.ndarray
     target: np.ndarray
 
     def __post_init__(self):
-        r = np.array(self.r, dtype=float)
+        r = np.asarray(self.r, dtype=float)
         if r.ndim != 2 or r.shape[0] != r.shape[1] or r.size == 0:
             raise ValueError(f"basis must be square, got shape {r.shape}")
         if not np.all(np.isfinite(r)):
             raise ValueError("basis has a non-finite entry")
-        if np.any(np.tril(r, -1)):
+        # below the diagonal, one panel of rows i:i+PANEL_ROWS at a time
+        panels = range(0, r.shape[0], PANEL_ROWS)
+        if any(np.tril(r[i : i + PANEL_ROWS], i - 1).any() for i in panels):
             raise ValueError("r must be upper triangular")
         diag = np.diag(r)
         if diag.min() <= RANK_TOL * np.abs(diag).max():

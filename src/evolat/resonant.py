@@ -23,6 +23,9 @@ from . import engine
 from .linalg import HermitianMatrix, Spectrum
 
 MAX_BLOCK_STATES = 20_000
+# rows of the locality table per step: as fast as larger steps from 8 rows up
+# (0.02 s at dim = 627, 0.12 s at dim = 1575, 0.8 s at dim = 3718)
+LOCALITY_ROWS = 16
 
 
 def partition_count(n_particles: int, total_level: int) -> int:
@@ -225,14 +228,15 @@ def min_coupling_operator(block: FockBlock) -> HermitianMatrix:
 
 def locality_table(block: FockBlock) -> np.ndarray:
     """Pairwise locality of all block states (symmetric within a block), in
-    the smallest signed integer type that holds the particle number."""
+    the smallest signed integer type that holds the particle number.  Rows
+    are computed LOCALITY_ROWS at a time, through one difference array of
+    LOCALITY_ROWS x dim x modes entries."""
     dtype = np.min_scalar_type(-block.n_particles - 1)
     occ = block.occupations().astype(dtype)
     d = block.dim
     out = np.empty((d, d), dtype=dtype)
-    chunk = max(1, 2**22 // max(occ.shape[1] * d, 1))
-    for start in range(0, d, chunk):
-        stop = min(start + chunk, d)
+    for start in range(0, d, LOCALITY_ROWS):
+        stop = min(start + LOCALITY_ROWS, d)
         diff = occ[None, start:stop, :] - occ[:, None, :]
         out[start:stop, :] = np.maximum(diff, 0, out=diff).sum(axis=2, dtype=dtype).T
     return out

@@ -487,6 +487,36 @@ def test_eigenvectors_released_once_q_is_built(tmp_path, monkeypatch, command):
     assert len(refs) == 1
 
 
+@pytest.mark.parametrize("command", ["bound", "plateau"])
+def test_q_released_before_the_cholesky(tmp_path, monkeypatch, command):
+    """Past the metric matrix G, bound and plateau read neither Q nor its
+    entries: both are gone before the Cholesky factorization."""
+    refs = []
+    nonlocality_matrix, cholesky = engine.nonlocality_matrix, np.linalg.cholesky
+
+    def keep_weakref(*args):
+        q = nonlocality_matrix(*args)
+        refs.extend([weakref.ref(q), weakref.ref(q.entries)])
+        return q
+
+    def check_released(g):
+        assert refs and all(ref() is None for ref in refs), "Q is still alive"
+        return cholesky(g)
+
+    monkeypatch.setattr(engine, "nonlocality_matrix", keep_weakref)
+    monkeypatch.setattr(np.linalg, "cholesky", check_released)
+    cfg = {
+        "model": {"family": "resonant", "kind": "random", "n_particles": 6, "total_level": 6,
+                  "seed": 2},
+        "threshold": 4,
+        "mu": "dim",
+        "chain": "babai",
+        "times": {"start": 100.0, "stop": 200.0, "count": 11},
+    }
+    run(tmp_path, command, cfg, "released")
+    assert len(refs) == 2
+
+
 # ---------------------------------------------------------------- qspec
 
 def test_qspec_free_syk(tmp_path):
@@ -641,6 +671,20 @@ def test_cvp_requires_instance_fields(tmp_path):
 def test_cvp_refuses_a_malformed_instance_with_a_message(tmp_path, basis, target, message):
     with pytest.raises(SystemExit, match=f"^cvp instance: .*{message}"):
         run(tmp_path, "cvp", {"basis": basis, "target": target}, "cvp_bad")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_cvp_refuses_a_non_finite_basis_before_factoring_it(tmp_path, monkeypatch, bad):
+    """The refusal comes before the QR factorization, so no RuntimeWarning
+    from arithmetic on infinities precedes the message."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a non-finite basis reached np.linalg.qr")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    cfg = {"basis": [[bad, 0.0], [0.0, 1.0]], "target": [1.0, 2.0]}
+    with pytest.raises(SystemExit, match="^cvp instance: basis has a non-finite entry$"):
+        run(tmp_path, "cvp", cfg, "cvp_bad")
 
 
 # ---------------------------------------------------------------- overrides

@@ -137,6 +137,42 @@ def test_pipeline_rejects_indefinite_metric():
         ComplexityPipeline(np.array([-0.5, 0.1, 0.4]), ComplexityMetric(mu=2.0, q=q))
 
 
+@pytest.mark.parametrize("chain", ["babai+greedy", "lll+babai+greedy"])
+def test_pipeline_given_g_is_the_pipeline_given_the_metric(chain):
+    """The metric matrix alone builds the same lattice and trace bit for bit;
+    the pipeline keeps that G itself."""
+    rng = np.random.default_rng(7)
+    e = random_normalized(rng, 40)
+    metric = ComplexityMetric(mu=40.0, nu=3.0, q=projector_q(e))
+    g = metric.matrix(40)
+    from_metric, from_g = ComplexityPipeline(e, metric, chain), ComplexityPipeline(e, g, chain)
+    assert from_g.metric_matrix is g
+    assert np.array_equal(from_g.lattice.r, from_metric.lattice.r)
+    ts = np.sort(rng.uniform(100.0, 3000.0, size=6))
+    a, b = from_metric.sweep(ts), from_g.sweep(ts)
+    assert np.array_equal(a.values, b.values) and np.array_equal(a.minimizers, b.minimizers)
+    with pytest.raises(ValueError, match="shape"):
+        ComplexityPipeline(e, g[:-1, :-1], chain)
+
+
+def test_pipeline_lattice_is_the_cholesky_factor(monkeypatch):
+    """Without LLL the lattice holds the Cholesky factor itself, not a copy
+    of it, read-only."""
+    factors = []
+    cholesky = np.linalg.cholesky
+
+    def keep(g):
+        factors.append(cholesky(g))
+        return factors[-1]
+
+    monkeypatch.setattr(np.linalg, "cholesky", keep)
+    e = random_normalized(np.random.default_rng(9), 30)
+    pipe = ComplexityPipeline(e, ComplexityMetric(mu=30.0, q=projector_q(e)), "babai+greedy")
+    assert len(factors) == 1
+    assert np.shares_memory(pipe.lattice.r, factors[0])
+    assert np.array_equal(pipe.lattice.r, factors[0].T) and not pipe.lattice.r.flags.writeable
+
+
 def test_nonlocality_matrix_stores_read_only_eigenvalues():
     q = NonlocalityMatrix(np.eye(2), [0.0, 1.0])
     assert isinstance(q.eigenvalues, np.ndarray) and q.eigenvalues.dtype == np.float64

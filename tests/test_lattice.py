@@ -577,6 +577,21 @@ def test_gram_schmidt_data_validates_shapes():
     assert not lat.r.flags.writeable and not lat.target.flags.writeable
 
 
+@pytest.mark.parametrize("row, col", [(1, 0), (linalg.PANEL_ROWS, linalg.PANEL_ROWS - 1),
+                                      (linalg.PANEL_ROWS + 43, 0)])
+def test_triangular_check_covers_every_panel(row, col):
+    """The check below the diagonal runs in row panels and misses no entry,
+    and a float64 r is kept without a copy."""
+    d = linalg.PANEL_ROWS + 44
+    r = np.eye(d)
+    lat = TriangularLattice(r, np.zeros(d))
+    assert lat.r is r and not r.flags.writeable
+    bad = np.eye(d)
+    bad[row, col] = 1e-300
+    with pytest.raises(ValueError, match="upper triangular"):
+        TriangularLattice(bad, np.zeros(d))
+
+
 def test_with_target_shares_the_basis():
     lat = TriangularLattice(np.array([[2.0, 1.0], [0.0, 3.0]]), np.zeros(2))
     moved = lat.with_target([1.0, 2.0])

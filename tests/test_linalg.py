@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from evolat import linalg, resonant
 from evolat.linalg import (
+    PANEL_ROWS,
     HermitianMatrix,
     Spectrum,
     _hermiticity,
@@ -13,6 +15,8 @@ from evolat.linalg import (
     normalize_energies,
     normalize_spectrum,
 )
+
+from test_nonlocality_stream import bundles_ilp64_openblas, traced_peak
 
 
 def test_hermitian_matrix_rejects_asymmetric():
@@ -82,6 +86,84 @@ def test_eigendecompose_reconstructs(seed):
     rebuilt = (s.vectors * s.energies) @ s.vectors.conj().T
     assert np.abs(rebuilt - m.entries).max() < 1e-10
     assert np.all(np.diff(s.energies) >= 0.0)
+
+
+def random_hermitian(d: int, dtype, seed: int = 4) -> HermitianMatrix:
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    if dtype is np.complex128:
+        a = a + 1j * rng.standard_normal((d, d))
+    return HermitianMatrix((a + a.conj().T) / 2.0)
+
+
+@pytest.mark.skipif(not bundles_ilp64_openblas(), reason="numpy does not run on scipy-openblas64")
+def test_numpy_eigh_kernels_resolve_with_its_bundled_openblas():
+    """A numpy on its bundled ILP64 OpenBLAS diagonalizes through LAPACKE,
+    and never falls back to np.linalg.eigh unnoticed."""
+    assert linalg._DSYEVD.__name__ == "scipy_LAPACKE_dsyevd_work64_"
+    assert linalg._ZHEEVD.__name__ == "scipy_LAPACKE_zheevd_work64_"
+
+
+needs_evd = pytest.mark.skipif(linalg._DSYEVD is None or linalg._ZHEEVD is None,
+                               reason="numpy's LAPACK has no dsyevd/zheevd work64_")
+
+
+@needs_evd
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("d", [1, 2, PANEL_ROWS + 44])
+def test_eigendecompose_is_numpy_eigh_bit_for_bit(monkeypatch, dtype, d):
+    """The LAPACK call gives np.linalg.eigh's energies and vectors to the
+    bit, in C order, on a matrix larger than one panel; so does the
+    fallback that runs without the symbols."""
+    m = random_hermitian(d, dtype)
+    e, v = np.linalg.eigh(m.entries)
+    s = eigendecompose(m)
+    assert s.vectors.dtype == dtype and s.vectors.flags.c_contiguous
+    assert np.array_equal(s.energies, e) and np.array_equal(s.vectors, v)
+    monkeypatch.setattr(linalg, "_DSYEVD", None)
+    monkeypatch.setattr(linalg, "_ZHEEVD", None)
+    fallback = eigendecompose(m)
+    assert np.array_equal(fallback.energies, e) and np.array_equal(fallback.vectors, v)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_eigendecompose_holds_at_most_three_copies(dtype):
+    """At dim 627, (20,20) truncated and a random complex matrix: beyond H,
+    eigendecompose holds at most 3 dim^2 entries (the copy that becomes V
+    and LAPACK's 2 dim^2 workspace), plus one panel of the checks."""
+    if dtype is np.float64:
+        block = resonant.enumerate_block(20, 20)
+        m = resonant.build_block_hamiltonian(block, resonant.CouplingScheme("truncated"))
+    else:
+        m = random_hermitian(627, dtype)
+    d, size = m.dim, np.dtype(dtype).itemsize
+    assert d == 627
+    peak = traced_peak(lambda: eigendecompose(m))
+    assert peak <= 3 * d * d * size + PANEL_ROWS * d * size
+
+
+def test_spectrum_check_covers_every_panel():
+    d = PANEL_ROWS + 44
+    Spectrum(np.arange(d, dtype=float), np.eye(d))
+    v = np.eye(d)
+    v[d - 1, d - 2] = 1e-6  # columns d-2 and d-1, both in the last panel, now overlap
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Spectrum(np.arange(d, dtype=float), v)
+
+
+def test_reconstruction_check_covers_every_panel(monkeypatch):
+    """An energy off in the last panel fails the reconstruction, whose scale
+    is the largest entry of H over all panels."""
+    d = PANEL_ROWS + 44
+    h = np.diag(np.arange(d, dtype=float))
+    wrong = np.arange(d, dtype=float)
+    wrong[-1] += 1e-3
+    monkeypatch.setattr(linalg, "_DSYEVD", "a kernel")
+    monkeypatch.setattr(linalg, "_lapack_eigh", lambda kernel, m: (wrong.copy(), np.eye(d)))
+    with pytest.raises(ArithmeticError, match="reconstruct"):
+        eigendecompose(HermitianMatrix(h))
+    wrong[-1] = d - 1 + 1e-9 * (d - 1) / 2  # within the tolerance at the scale of H
+    eigendecompose(HermitianMatrix(h))
 
 
 def test_normalize_energies_contract():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -285,6 +287,23 @@ def test_locality_table_narrow_dtype_holds_the_particle_number(n, m, dtype):
     occ = blk.occupations()
     expect = [[resonant_locality(x, y) for y in occ] for x in occ]
     assert np.array_equal(table, expect)
+
+
+def test_locality_table_transient_is_a_few_row_chunks():
+    """Beyond the table itself, locality_table holds about two difference
+    arrays of LOCALITY_ROWS x dim x modes entries: at (20,20) under 0.7 MB,
+    where its earlier 4 MiB budget held about 8 MiB."""
+    blk = enumerate_block(20, 20)
+    d, modes = blk.dim, blk.total_level + 1
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = locality_table(blk)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.int8 and d == 627
+    assert peak - table.nbytes < 3 * resonant.LOCALITY_ROWS * d * modes * table.itemsize
 
 
 def test_classifier_pair_counts():
