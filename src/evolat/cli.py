@@ -18,7 +18,10 @@ import hashlib
 import io
 import json
 import sys
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -121,22 +124,29 @@ def _meta(cfg: dict, **extra) -> dict:
 
 # ---------------------------------------------------------------- models
 
-class ModelBundle:
-    def __init__(self, name, spectrum, hamiltonian=None, classifier=None, extras=None):
-        self.name = name
-        self.spectrum = spectrum  # normalized
-        self.hamiltonian = hamiltonian
-        self.classifier = classifier  # callable threshold -> classifier, or None
-        self.extras = extras or {}  # file name -> callable rendering its text
+@dataclass(frozen=True)
+class Model:
+    """A model before any dim x dim array exists: functions that build H and
+    map a threshold to a classifier, or in their place a synthetic model's
+    normalized energies.  extras maps a file name to its text's renderer."""
+
+    name: str
+    dim: int
+    hamiltonian: Callable[[], linalg.HermitianMatrix] | None = None
+    classifier: Callable[[int], engine.LocalityClassifier] | None = None
+    extras: dict = field(default_factory=dict)
+    energies: np.ndarray | None = None
 
 
-def _build_syk(mc: dict) -> ModelBundle:
+def _build_syk(mc: dict) -> Model:
     n = mc["n_modes"]
     variant = mc["variant"]
     try:
         eps = float(mc.get("epsilon", 1.0))
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"syk epsilon: {exc}") from None
+    if not np.isfinite(eps):
+        raise SystemExit(f"syk epsilon must be finite, got {eps}")
     rng = np.random.default_rng(mc.get("seed", 0))
     try:
         rep = syk.build_clifford(n)
@@ -144,27 +154,21 @@ def _build_syk(mc: dict) -> ModelBundle:
         raise SystemExit(f"syk n_modes: {exc}") from None
     j2 = syk.sample_quadratic_couplings(n, rng)
     if variant == "free":
-        h = syk.free_syk(rep, j2)
+        build = partial(syk.free_syk, rep, j2)
     elif variant == "integrable":
         omegas, frame = syk.antisymmetric_canonical_form(j2)
         pair = syk.sample_pair_couplings(n, rng)
-        h = syk.integrable_syk(rep, omegas, pair, eps, frame=frame)
+        build = partial(syk.integrable_syk, rep, omegas, pair, eps, frame=frame)
     elif variant in ("chaotic4", "chaotic3"):
         body = 4 if variant == "chaotic4" else 3
         many = syk.sample_many_body_couplings(n, body, rng)
-        h = syk.chaotic_syk(rep, j2, many, eps, body=body)
+        build = partial(syk.chaotic_syk, rep, j2, many, eps, body=body)
     else:
         raise SystemExit(f"unknown syk variant {variant!r}")
-    spec = linalg.normalize_spectrum(linalg.eigendecompose(h))
-    return ModelBundle(
-        f"syk-{variant}-n{n}",
-        spec,
-        hamiltonian=h,
-        classifier=lambda k: syk.MonomialClassifier(rep, k),
-    )
+    return Model(f"syk-{variant}-n{n}", rep.dim, build, lambda k: syk.MonomialClassifier(rep, k))
 
 
-def _build_resonant(mc: dict) -> ModelBundle:
+def _build_resonant(mc: dict) -> Model:
     n, m = mc["n_particles"], mc["total_level"]
     kind = mc["kind"]
     try:
@@ -176,22 +180,20 @@ def _build_resonant(mc: dict) -> ModelBundle:
         )
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"resonant coupling: {exc}") from None
+    for key in ("alpha", "delta_coeff"):
+        if not np.isfinite(getattr(scheme, key)):
+            raise SystemExit(f"resonant {key} must be finite, got {getattr(scheme, key)}")
     try:
         block = resonant.enumerate_block(n, m)
     except ValueError as exc:
         raise SystemExit(f"resonant block: {exc}") from None
-    h = resonant.build_block_hamiltonian(block, scheme)
-    spec = linalg.normalize_spectrum(linalg.eigendecompose(h))
-    return ModelBundle(
-        f"resonant-{kind}-{n}-{m}",
-        spec,
-        hamiltonian=h,
-        classifier=lambda k: resonant.ResonantClassifier(block, k),
-        extras={"block_states.csv": lambda: resonant.block_states_csv(block)},
-    )
+    return Model(f"resonant-{kind}-{n}-{m}", block.dim,
+                 partial(resonant.build_block_hamiltonian, block, scheme),
+                 lambda k: resonant.ResonantClassifier(block, k),
+                 {"block_states.csv": lambda: resonant.block_states_csv(block)})
 
 
-def _build_synthetic(mc: dict) -> ModelBundle:
+def _build_synthetic(mc: dict) -> Model:
     dim = mc["dim"]
     if dim < 2:
         raise SystemExit(f"a synthetic model needs dim >= 2, got {dim}")
@@ -204,11 +206,10 @@ def _build_synthetic(mc: dict) -> ModelBundle:
         energies = np.linalg.eigvalsh((a + a.T) / np.sqrt(8.0 * dim))
     else:
         raise SystemExit(f"unknown synthetic kind {kind!r}")
-    spec = linalg.Spectrum(linalg.normalize_energies(energies), np.eye(dim))
-    return ModelBundle(f"synthetic-{kind}-{dim}", spec)
+    return Model(f"synthetic-{kind}-{dim}", dim, energies=linalg.normalize_energies(energies))
 
 
-def _build_model(cfg: dict) -> ModelBundle:
+def _build_model(cfg: dict) -> Model:
     mc = cfg.get("model")
     if not isinstance(mc, dict) or "family" not in mc:
         raise SystemExit("config needs a model object with a family field")
@@ -262,13 +263,22 @@ def _metric_settings(cfg: dict, dim: int = 1) -> tuple:
     return mu, nu, thr
 
 
-def _metric_for(cfg: dict, bundle: ModelBundle) -> engine.ComplexityMetric:
-    """Resolve the metric from mu/nu/threshold settings."""
-    mu, nu, thr = _metric_settings(cfg, bundle.spectrum.dim)
-    if mu == 1.0:  # Q carries weight mu - 1, so it is not built
-        return engine.ComplexityMetric(nu=nu)
-    q = engine.nonlocality_matrix(bundle.spectrum, bundle.classifier(thr))
-    return engine.ComplexityMetric(mu=mu, nu=nu, q=q)
+def _spectrum(model: Model, thr: int | None = None) -> tuple:
+    """The stage after the model in bound, plateau, qspec and stats:
+    (normalized energies, Q at threshold thr or None).  H is freed when
+    eigendecompose returns, and the eigenvectors when this does."""
+    if model.hamiltonian is None:
+        return model.energies, None
+    spec = linalg.normalize_spectrum(linalg.eigendecompose(model.hamiltonian()))
+    q = None if thr is None else engine.nonlocality_matrix(spec, model.classifier(thr))
+    return spec.energies, q
+
+
+def _metric(model: Model, mu: float, nu: float, thr: int) -> tuple:
+    """(energies, G = I + (mu - 1) Q + nu 11^T).  Q is built only for mu > 1,
+    and is freed when this returns, before the pipeline factors G."""
+    energies, q = _spectrum(model, None if mu == 1.0 else thr)
+    return energies, engine.ComplexityMetric(mu, nu, q).matrix(model.dim)
 
 
 def _times(cfg: dict) -> np.ndarray:
@@ -322,11 +332,14 @@ def _load_config(args) -> dict:
 # ---------------------------------------------------------------- commands
 
 def cmd_gen(cfg: dict, outdir: Path) -> int:
-    bundle = _build_model(cfg)
-    meta = _meta(cfg, model=bundle.name, dim=bundle.spectrum.dim, normalized=True)
-    if bundle.hamiltonian is not None:
+    model = _build_model(cfg)
+    meta = _meta(cfg, model=model.name, dim=model.dim, normalized=True)
+    energies = model.energies
+    if model.hamiltonian is not None:
+        h = model.hamiltonian()
+        energies = linalg.normalize_spectrum(linalg.eigendecompose(h)).energies
         path = outdir / "hamiltonian.npy"
-        entries = bundle.hamiltonian.entries
+        entries = h.entries
         if np.iscomplexobj(entries) and not entries.imag.any():
             entries = entries.real
         buf = io.BytesIO()
@@ -334,12 +347,9 @@ def cmd_gen(cfg: dict, outdir: Path) -> int:
         linalg.atomic_write(path, buf.getbuffer())
         meta["hamiltonian_file"] = path.name
         print(f"wrote {path}")
-    linalg.atomic_write(
-        outdir / "energies.json",
-        _json_text({"energies": bundle.spectrum.energies.tolist()}),
-    )
+    linalg.atomic_write(outdir / "energies.json", _json_text({"energies": energies.tolist()}))
     print(f"wrote {outdir / 'energies.json'}")
-    for name, render in bundle.extras.items():
+    for name, render in model.extras.items():
         linalg.atomic_write(outdir / name, render())
         print(f"wrote {outdir / name}")
     linalg.atomic_write(outdir / "gen_meta.json", _json_text(meta))
@@ -357,32 +367,27 @@ def _sweep(cfg: dict, times: np.ndarray, outdir: Path):
         raise SystemExit(f"chain: {exc}") from None
     if chain is None and (mu != 1.0 or cfg.get("mu") == "dim" or nu != 0.0):
         raise SystemExit("chain: biinvariant is the closed form for mu = 1 and nu = 0")
-    bundle = _build_model(cfg)
-    bundle.hamiltonian = None  # only gen writes H; Q needs the eigenvectors alone
-    metric = None if chain is None else _metric_for(cfg, bundle)
-    energies, bundle.spectrum = bundle.spectrum.energies, None  # Q was V's last reader
+    model = _build_model(cfg)
+    mu, nu, thr = _metric_settings(cfg, model.dim)
     if chain is None:
-        pipeline = None
-        trace = engine.bi_invariant_trace(energies, times)
+        pipeline, trace = None, engine.bi_invariant_trace(_spectrum(model)[0], times)
     else:
-        mu, g = metric.mu, metric.matrix(energies.size)
-        del metric  # the pipeline needs G alone, so Q goes before the Cholesky
-        pipeline = engine.ComplexityPipeline(energies, g, chain)
+        pipeline = engine.ComplexityPipeline(*_metric(model, mu, nu, thr), chain)
         trace = pipeline.sweep(times)
     rows = [f"{_fmt(t)},{_fmt(v)},{trace.method}" for t, v in zip(trace.times, trace.values)]
     text = _csv_text(_config_hash(cfg), "trace", "t,c_bound,method", rows)
     linalg.atomic_write(outdir / "bound.csv", text)
     meta = _meta(
         cfg,
-        model=bundle.name,
-        dim=energies.size,
+        model=model.name,
+        dim=model.dim,
         method=trace.method,
-        ceiling=engine.complexity_ceiling(mu, energies.size),
+        ceiling=engine.complexity_ceiling(mu, model.dim),
         max_value=float(trace.values.max()),
     )
     linalg.atomic_write(outdir / "bound_meta.json", _json_text(meta))
     print(f"wrote {outdir / 'bound.csv'} ({trace.values.size} samples, method {trace.method})")
-    return bundle.name, energies.size, trace, pipeline
+    return model.name, model.dim, trace, pipeline
 
 
 def cmd_bound(cfg: dict, outdir: Path) -> int:
@@ -394,17 +399,16 @@ def cmd_qspec(cfg: dict, outdir: Path) -> int:
     thr = _metric_settings(cfg)[2]
     if _family(cfg) == "synthetic":
         raise SystemExit("a synthetic model has no locality structure, so no Q spectrum")
-    bundle = _build_model(cfg)
-    bundle.hamiltonian = None  # only gen writes H; Q needs the eigenvectors alone
-    q = engine.nonlocality_matrix(bundle.spectrum, bundle.classifier(thr))
+    model = _build_model(cfg)
+    energies, q = _spectrum(model, thr)
     h = _config_hash(cfg)
     rows = [f"{i},{_fmt(v)}" for i, v in enumerate(q.eigenvalues)]
     linalg.atomic_write(outdir / "qspec.csv", _csv_text(h, "qspec", "index,eigenvalue", rows))
     meta = _meta(
         cfg,
-        model=bundle.name,
+        model=model.name,
         threshold=thr,
-        null_residual=q.null_residual(bundle.spectrum.energies),
+        null_residual=q.null_residual(energies),
         null_count=int(np.sum(q.eigenvalues < 1e-8)),
     )
     linalg.atomic_write(outdir / "qspec_meta.json", _json_text(meta))
@@ -413,8 +417,8 @@ def cmd_qspec(cfg: dict, outdir: Path) -> int:
 
 
 def cmd_stats(cfg: dict, outdir: Path) -> int:
-    bundle = _build_model(cfg)
-    spacings = spectral.unfold(bundle.spectrum.energies)
+    model = _build_model(cfg)
+    spacings = spectral.unfold(_spectrum(model)[0])
     h = _config_hash(cfg)
     linalg.atomic_write(
         outdir / "spacings.csv",
@@ -425,8 +429,8 @@ def cmd_stats(cfg: dict, outdir: Path) -> int:
     ks_p = spectral.ks_distance(spacings, "poisson")
     meta = _meta(
         cfg,
-        model=bundle.name,
-        levels=bundle.spectrum.dim,
+        model=model.name,
+        levels=model.dim,
         spacing_count=spacings.values.size,
         ks_wigner=ks_w,
         ks_poisson=ks_p,

@@ -227,27 +227,26 @@ class PlateauStats:
 
 class ComplexityPipeline:
     """Caches the lattice a solver chain works on, reduced by LLL when the
-    chain asks for it, for one (energies, metric, chain) combination, so
-    that a time sweep only pays for the solve.
+    chain asks for it, for one (energies, G, chain) combination, so that a
+    time sweep only pays for the solve.
 
-    metric is a ComplexityMetric or its matrix G, which the pipeline then
-    keeps as it is: a caller that hands over G alone lets Q go before the
-    Cholesky.  The lattice holds the Cholesky factor itself, not a copy."""
+    g is the metric matrix G of a ComplexityMetric (its matrix(dim)), or
+    None for the identity; the pipeline keeps G as it is, so a caller that
+    hands it over alone has let Q go before the Cholesky.  The lattice
+    holds the Cholesky factor itself, not a copy."""
 
     def __init__(
         self,
         energies: np.ndarray,
-        metric: ComplexityMetric | np.ndarray | None = None,
+        g: np.ndarray | None = None,
         chain: str | SolverChain = DEFAULT_CHAIN,
     ):
         self.energies = np.asarray(energies, dtype=float).copy()
         self.chain = chain if isinstance(chain, SolverChain) else SolverChain.parse(chain)
         self.dim = self.energies.size
-        if metric is None or isinstance(metric, ComplexityMetric):
-            metric = (metric or ComplexityMetric()).matrix(self.dim)
-        elif metric.shape != (self.dim, self.dim):
-            raise ValueError(f"metric matrix of shape {metric.shape} for dimension {self.dim}")
-        self.metric_matrix = metric
+        self.metric_matrix = np.eye(self.dim) if g is None else g
+        if np.shape(self.metric_matrix) != (self.dim, self.dim):
+            raise ValueError(f"metric matrix of shape {np.shape(g)} for dimension {self.dim}")
         try:
             r = np.linalg.cholesky(self.metric_matrix).T
         except np.linalg.LinAlgError:

@@ -275,6 +275,14 @@ def babai_nearest_plane(lattice: TriangularLattice) -> np.ndarray:
     return c.astype(np.int64)
 
 
+def _column_norms_sq(b: np.ndarray) -> np.ndarray:
+    """|b_j|^2 of every column, a panel of PANEL_ROWS columns at a time, so
+    no temporary has b's size; in either memory order each column is summed
+    as np.sum(b * b, axis=0) sums it, bit for bit."""
+    return np.concatenate([np.sum(np.square(b[:, j : j + PANEL_ROWS]), axis=0)
+                           for j in range(0, b.shape[1], PANEL_ROWS)])
+
+
 def greedy_descent(lattice: TriangularLattice, seed_coeffs: np.ndarray) -> np.ndarray:
     """Coordinate descent from a seed lattice point, per target.
 
@@ -286,7 +294,7 @@ def greedy_descent(lattice: TriangularLattice, seed_coeffs: np.ndarray) -> np.nd
     """
     b = lattice.r
     c = np.atleast_2d(np.array(seed_coeffs, dtype=np.int64))
-    norms_sq = np.sum(b * b, axis=0)
+    norms_sq = _column_norms_sq(b)
     resid = c.astype(float) @ b.T - np.atleast_2d(lattice.target)
     rows = np.arange(c.shape[0])
     for _ in range(GREEDY_MAX_MOVES):

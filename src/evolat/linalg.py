@@ -63,9 +63,12 @@ def _float_dtype(a: np.ndarray):
 def _hermiticity(m: np.ndarray) -> tuple:
     """max |m - m^dagger| and max(max |m|, 1) of a square float64 or
     complex128 m, through one temporary of m's size (plus the modulus's for
-    complex m)."""
+    complex m).  Refuses a non-finite m before it subtracts, as NaN would
+    pass any tolerance."""
     work = np.empty_like(m)  # |m|, then m - m^dagger, then its modulus
-    scale = max(np.abs(m, out=work.real).max(), 1.0)
+    scale = np.maximum(np.abs(m, out=work.real).max(), 1.0)  # NaN stays NaN
+    if not np.isfinite(scale):
+        raise ValueError(f"matrix has a non-finite entry: max |H| = {scale}")
     np.subtract(m, np.conjugate(m.T, out=work), out=work)
     dev = (np.abs(work) if np.iscomplexobj(work) else np.abs(work, out=work)).max()
     return dev, scale
@@ -73,7 +76,8 @@ def _hermiticity(m: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Square matrix with H = H^dagger enforced at construction.
+    """Square matrix with finite entries and H = H^dagger enforced at
+    construction.
 
     Real input is kept as float64 (a real symmetric matrix), complex input
     as complex128, so a real Hamiltonian is diagonalized in real arithmetic.

@@ -117,7 +117,8 @@ def resonant_run(n: int, m: int, kind: str, seed, k: int):
     block, _, spec = resonant_model(n, m, kind, seed)
     q = engine.nonlocality_matrix(spec, resonant.ResonantClassifier(block, k))
     mu = float(spec.dim)
-    pipe = engine.ComplexityPipeline(spec.energies, engine.ComplexityMetric(mu=mu, q=q))
+    g = engine.ComplexityMetric(mu=mu, q=q).matrix(spec.dim)
+    pipe = engine.ComplexityPipeline(spec.energies, g)
     trace = pipe.sweep(TIMES_LATE)
     mean = engine.plateau_stats(trace, WINDOW_LATE).mean
     est = lattice.plateau_estimate(pipe.lattice)
@@ -176,7 +177,8 @@ def test_02_early_linear_growth_and_departure():
             ts = np.linspace(tcap / 24.0, tcap, 24)
             metric = (engine.ComplexityMetric() if mu == 1.0
                       else engine.ComplexityMetric(mu=mu, q=q))
-            trace = engine.ComplexityPipeline(energies, metric).sweep(ts)
+            g = metric.matrix(energies.size)
+            trace = engine.ComplexityPipeline(energies, g).sweep(ts)
             worst_early = max(worst_early, float(np.abs(trace.values - ts).max()))
         # mu = 1: first wrap becomes favorable when |E_max| t passes pi
         tdep = np.pi / emax
@@ -206,13 +208,13 @@ def test_03_ceiling_never_exceeded():
     q = engine.nonlocality_matrix(spec, resonant.ResonantClassifier(block, 2))
     mu = float(spec.dim)
     su = engine.ComplexityMetric(mu, engine.SU_NU_FACTOR * mu, q)
-    trace = engine.ComplexityPipeline(spec.energies, su).sweep(TIMES_LATE)
+    trace = engine.ComplexityPipeline(spec.energies, su.matrix(spec.dim)).sweep(TIMES_LATE)
     margins.append(engine.complexity_ceiling(float(spec.dim), spec.dim)
                    - float(trace.values.max()))
     rep, _, sfree = syk_model("free", 8, 3)
     qf = engine.nonlocality_matrix(sfree, syk.MonomialClassifier(rep, 2))
     trace = engine.ComplexityPipeline(
-        sfree.energies, engine.ComplexityMetric(mu=16.0, q=qf)
+        sfree.energies, engine.ComplexityMetric(mu=16.0, q=qf).matrix(16)
     ).sweep(np.linspace(1.0, 4000.0, 60))
     margins.append(engine.complexity_ceiling(16.0, 16) - float(trace.values.max()))
     passed = min(margins) >= -1e-6
@@ -471,7 +473,7 @@ def test_16_solver_ladder_tightens_plateau():
     ts = np.linspace(fx["times"]["start"], fx["times"]["stop"], fx["times"]["count"])
     means = []
     for chain in fx["chains"]:
-        trace = engine.ComplexityPipeline(spec.energies, metric, chain).sweep(ts)
+        trace = engine.ComplexityPipeline(spec.energies, metric.matrix(spec.dim), chain).sweep(ts)
         means.append(engine.plateau_stats(trace, tuple(fx["window"])).mean)
     passed = all(a >= b for a, b in zip(means, means[1:]))
     return passed, (

@@ -6,6 +6,7 @@ overhead of spawning interpreters.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -19,6 +20,7 @@ import pytest
 
 from evolat import cli, engine, lattice, linalg
 from evolat.cli import COMMANDS, PRESETS, _config_hash, main
+from test_nonlocality_stream import traced_peak
 
 
 def run(tmp_path, command, cfg, tag, extra=()):
@@ -151,9 +153,18 @@ def test_missing_model_key_is_named_before_any_array(tmp_path, monkeypatch, mode
      "model n_modes must be a non-negative integer, got 'twelve'"),
     ({"family": "resonant", "kind": "alpha", "n_particles": 4, "total_level": 4, "alpha": None},
      "resonant coupling: float"),
+    ({"family": "resonant", "kind": "alpha", "n_particles": 4, "total_level": 4,
+      "alpha": float("nan")}, "resonant alpha must be finite, got nan"),
+    ({"family": "resonant", "kind": "delta", "n_particles": 4, "total_level": 4,
+      "delta_coeff": float("inf")}, "resonant delta_coeff must be finite, got inf"),
+    ({"family": "syk", "variant": "chaotic4", "n_modes": 8, "epsilon": float("nan")},
+     "syk epsilon must be finite, got nan"),
+    ({"family": "syk", "variant": "integrable", "n_modes": 8, "epsilon": float("inf")},
+     "syk epsilon must be finite, got inf"),
 ], ids=["count-not-a-number", "negative-count", "block-over-guard", "odd-modes",
         "fractional-dim", "dim-1", "negative-seed", "epsilon-not-a-number",
-        "modes-not-a-number", "alpha-null"])
+        "modes-not-a-number", "alpha-null", "alpha-nan", "delta-coeff-inf", "epsilon-nan",
+        "epsilon-inf"])
 def test_bad_model_value_refused_with_a_message(tmp_path, model, message):
     # bound reads n_modes for the threshold range before it builds the model
     for command in ("gen", "bound"):
@@ -290,10 +301,14 @@ def test_gen_stores_a_real_hamiltonian_as_float64(tmp_path, monkeypatch, dtype):
     build = cli._build_model
 
     def build_as(cfg):
-        bundle = build(cfg)
-        bundle.hamiltonian = linalg.HermitianMatrix(bundle.hamiltonian.entries.astype(dtype))
-        assert bundle.hamiltonian.entries.dtype == dtype
-        return bundle
+        model = build(cfg)
+
+        def hamiltonian():
+            h = linalg.HermitianMatrix(model.hamiltonian().entries.astype(dtype))
+            assert h.entries.dtype == dtype
+            return h
+
+        return dataclasses.replace(model, hamiltonian=hamiltonian)
 
     monkeypatch.setattr(cli, "_build_model", build_as)
     out = run(tmp_path, "gen", cfg, "gen_as")
@@ -402,9 +417,8 @@ def test_su_config_matches_su_metric(mu):
         "mu": mu,
         "nu": "su",
     }
-    bundle = cli._build_model(cfg)
-    metric = cli._metric_for(cfg, bundle)
-    assert metric.nu == engine.SU_NU_FACTOR * metric.mu > 0.0
+    mu, nu, _ = cli._metric_settings(cfg, cli._build_model(cfg).dim)
+    assert nu == engine.SU_NU_FACTOR * mu > 0.0
 
 
 def test_unit_cost_skips_the_nonlocality_matrix(tmp_path, monkeypatch):
@@ -462,18 +476,17 @@ def test_eigenvectors_released_once_q_is_built(tmp_path, monkeypatch, command):
     """Past Q, bound and plateau read only the energies: the eigenvectors
     are gone before the lattice is built."""
     refs = []
-    build_model, pipeline = cli._build_model, engine.ComplexityPipeline
+    nonlocality_matrix, pipeline = engine.nonlocality_matrix, engine.ComplexityPipeline
 
-    def keep_weakref(cfg):
-        bundle = build_model(cfg)
-        refs.append(weakref.ref(bundle.spectrum.vectors))
-        return bundle
+    def keep_weakref(spectrum, classifier):
+        refs.append(weakref.ref(spectrum.vectors))
+        return nonlocality_matrix(spectrum, classifier)
 
     def check_released(*args):
         assert refs and refs[0]() is None, "the eigenvectors are still alive"
         return pipeline(*args)
 
-    monkeypatch.setattr(cli, "_build_model", keep_weakref)
+    monkeypatch.setattr(engine, "nonlocality_matrix", keep_weakref)
     monkeypatch.setattr(engine, "ComplexityPipeline", check_released)
     cfg = {
         "model": {"family": "resonant", "kind": "random", "n_particles": 6, "total_level": 6,
@@ -515,6 +528,30 @@ def test_q_released_before_the_cholesky(tmp_path, monkeypatch, command):
     }
     run(tmp_path, command, cfg, "released")
     assert len(refs) == 2
+
+
+@pytest.mark.parametrize("model, dim", [
+    ({"family": "resonant", "kind": "truncated", "n_particles": 16, "total_level": 16}, 231),
+    ({"family": "syk", "variant": "chaotic4", "n_modes": 12, "seed": 1}, 64),
+], ids=["resonant-16-16", "syk-chaotic4-n12"])
+def test_model_stage_allocates_nothing_dim_squared(model, dim):
+    """The model knows D before any D x D array exists: building it builds
+    neither H nor its spectrum, so it peaks below one D x D float64."""
+    np.random.default_rng(0)  # the first generator pays a one-time 1 MB set-up
+    built = []
+    peak = traced_peak(lambda: built.append(cli._build_model({"model": model})))
+    assert peak < 8 * dim * dim
+    assert built[0].dim == dim
+
+
+@pytest.mark.parametrize("command", ["stats", "plateau"])
+def test_synthetic_commands_hold_no_dim_squared_array(tmp_path, command):
+    """A synthetic model is its energies: stats and the bi-invariant plateau
+    at dim = 1000 never hold a dim x dim array (8 MB)."""
+    cfg = dict(SYNTH_TRACE, model=dict(SYNTH_TRACE["model"], dim=1000),
+               window=[2000.0, 4000.0])
+    np.random.default_rng(0)
+    assert traced_peak(lambda: run(tmp_path, command, cfg, command)) < 8 * 1000 * 1000
 
 
 # ---------------------------------------------------------------- qspec
@@ -585,17 +622,17 @@ def test_plateau_estimate_reuses_pipeline_reduction(tmp_path, monkeypatch, chain
         "times": {"start": 20000.0, "stop": 24000.0, "count": 21},
         "window": [20000.0, 24000.0],
     }
-    bundle = cli._build_model(cfg)
-    metric = cli._metric_for(cfg, bundle)
+    model = cli._build_model(cfg)
+    energies, g = cli._metric(model, *cli._metric_settings(cfg, model.dim))
     if "lll" in chain:
-        embedding = engine.ComplexityPipeline(bundle.spectrum.energies, metric, "babai")
+        embedding = engine.ComplexityPipeline(energies, g, "babai")
         solved_on = lattice.lll_reduce_with_transform(embedding.lattice)[0]
     else:
         def refuse(*args, **kwargs):
             raise AssertionError("LLL run for a chain without it")
 
         monkeypatch.setattr(lattice, "lll_reduce_with_transform", refuse)
-    pipeline = engine.ComplexityPipeline(bundle.spectrum.energies, metric, chain)
+    pipeline = engine.ComplexityPipeline(energies, g, chain)
     if "lll" in chain:
         assert np.array_equal(pipeline.lattice.r, solved_on.r)
     out = run(tmp_path, "plateau", cfg, "plateau_reuse")

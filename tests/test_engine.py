@@ -126,7 +126,7 @@ def test_embedding_map_squares_to_metric():
     rng = np.random.default_rng(5)
     e = random_normalized(rng, 12)
     metric = ComplexityMetric(mu=12.0, nu=4.0, q=projector_q(e))
-    lat = ComplexityPipeline(e, metric, chain="babai").lattice
+    lat = ComplexityPipeline(e, metric.matrix(12), chain="babai").lattice
     assert np.abs(lat.r.T @ lat.r - metric.matrix(12)).max() < 1e-9
     assert np.abs(lat.target - lat.r @ e).max() < 1e-12
 
@@ -134,25 +134,22 @@ def test_embedding_map_squares_to_metric():
 def test_pipeline_rejects_indefinite_metric():
     q = NonlocalityMatrix(-2.0 * np.eye(3), [-2.0, -2.0, -2.0])
     with pytest.raises(ArithmeticError, match="positive definite"):
-        ComplexityPipeline(np.array([-0.5, 0.1, 0.4]), ComplexityMetric(mu=2.0, q=q))
+        ComplexityPipeline(np.array([-0.5, 0.1, 0.4]), ComplexityMetric(mu=2.0, q=q).matrix(3))
 
 
 @pytest.mark.parametrize("chain", ["babai+greedy", "lll+babai+greedy"])
-def test_pipeline_given_g_is_the_pipeline_given_the_metric(chain):
-    """The metric matrix alone builds the same lattice and trace bit for bit;
-    the pipeline keeps that G itself."""
+def test_pipeline_keeps_g_and_refuses_another_shape(chain):
+    """The pipeline keeps the metric matrix G it is given, and refuses one
+    whose shape is not the spectrum's dimension squared, or a metric that
+    is not a matrix at all."""
     rng = np.random.default_rng(7)
     e = random_normalized(rng, 40)
     metric = ComplexityMetric(mu=40.0, nu=3.0, q=projector_q(e))
     g = metric.matrix(40)
-    from_metric, from_g = ComplexityPipeline(e, metric, chain), ComplexityPipeline(e, g, chain)
-    assert from_g.metric_matrix is g
-    assert np.array_equal(from_g.lattice.r, from_metric.lattice.r)
-    ts = np.sort(rng.uniform(100.0, 3000.0, size=6))
-    a, b = from_metric.sweep(ts), from_g.sweep(ts)
-    assert np.array_equal(a.values, b.values) and np.array_equal(a.minimizers, b.minimizers)
-    with pytest.raises(ValueError, match="shape"):
-        ComplexityPipeline(e, g[:-1, :-1], chain)
+    assert ComplexityPipeline(e, g, chain).metric_matrix is g
+    for wrong in (g[:-1, :-1], metric):
+        with pytest.raises(ValueError, match="shape"):
+            ComplexityPipeline(e, wrong, chain)
 
 
 def test_pipeline_lattice_is_the_cholesky_factor(monkeypatch):
@@ -167,7 +164,8 @@ def test_pipeline_lattice_is_the_cholesky_factor(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", keep)
     e = random_normalized(np.random.default_rng(9), 30)
-    pipe = ComplexityPipeline(e, ComplexityMetric(mu=30.0, q=projector_q(e)), "babai+greedy")
+    pipe = ComplexityPipeline(e, ComplexityMetric(mu=30.0, q=projector_q(e)).matrix(30),
+                              "babai+greedy")
     assert len(factors) == 1
     assert np.shares_memory(pipe.lattice.r, factors[0])
     assert np.array_equal(pipe.lattice.r, factors[0].T) and not pipe.lattice.r.flags.writeable
@@ -234,7 +232,7 @@ def test_solver_chain_normalizes_token_order():
 def test_pipeline_mu_one_reduces_to_bi_invariant():
     rng = np.random.default_rng(17)
     e = random_normalized(rng, 50)
-    pipe = ComplexityPipeline(e, ComplexityMetric(mu=1.0, nu=0.0, q=None))
+    pipe = ComplexityPipeline(e, ComplexityMetric(mu=1.0, nu=0.0, q=None).matrix(50))
     trace = pipe.sweep(np.sort(rng.uniform(5.0, 2000.0, size=12)))
     for t, v, k in zip(trace.times, trace.values, trace.minimizers):
         assert v == pytest.approx(float(bi_invariant_complexity(e, float(t))), abs=1e-9)
@@ -246,8 +244,8 @@ def test_pipeline_value_matches_quadratic_form():
     rng = np.random.default_rng(23)
     e = random_normalized(rng, 24)
     metric = ComplexityMetric(mu=24.0, nu=0.0, q=projector_q(e))
-    pipe = ComplexityPipeline(e, metric)
     g = metric.matrix(24)
+    pipe = ComplexityPipeline(e, g)
     trace = pipe.sweep([10.0, 300.0, 4000.0])
     for t, v, k in zip(trace.times, trace.values, trace.minimizers):
         r = e * t - 2.0 * np.pi * k
@@ -258,7 +256,7 @@ def test_pipeline_naive_chain_rounds_windings():
     rng = np.random.default_rng(31)
     e = random_normalized(rng, 16)
     metric = ComplexityMetric(mu=16.0, nu=0.0, q=projector_q(e))
-    pipe = ComplexityPipeline(e, metric, chain="naive")
+    pipe = ComplexityPipeline(e, metric.matrix(16), chain="naive")
     t = 500.0
     k = pipe.sweep([t]).minimizers[0]
     assert np.array_equal(k, np.round(e * t / (2.0 * np.pi)).astype(np.int64))
@@ -267,7 +265,8 @@ def test_pipeline_naive_chain_rounds_windings():
 def test_pipeline_su_restriction_traceless_minimizer():
     rng = np.random.default_rng(41)
     e = random_normalized(rng, 20)
-    pipe = ComplexityPipeline(e, ComplexityMetric(20.0, SU_NU_FACTOR * 20.0, projector_q(e)))
+    su = ComplexityMetric(20.0, SU_NU_FACTOR * 20.0, projector_q(e))
+    pipe = ComplexityPipeline(e, su.matrix(20))
     for k in pipe.sweep(np.sort(rng.uniform(10.0, 5000.0, size=8))).minimizers:
         assert int(k.sum()) == 0
 
@@ -276,8 +275,8 @@ def test_pipeline_greedy_never_hurts():
     rng = np.random.default_rng(43)
     e = random_normalized(rng, 30)
     metric = ComplexityMetric(mu=30.0, nu=0.0, q=projector_q(e))
-    with_g = ComplexityPipeline(e, metric, chain="lll+babai+greedy")
-    without = ComplexityPipeline(e, metric, chain="lll+babai")
+    with_g = ComplexityPipeline(e, metric.matrix(30), chain="lll+babai+greedy")
+    without = ComplexityPipeline(e, metric.matrix(30), chain="lll+babai")
     ts = np.sort(rng.uniform(100.0, 3000.0, size=10))
     assert np.all(with_g.sweep(ts).values <= without.sweep(ts).values + 1e-9)
 
@@ -310,7 +309,7 @@ def assert_sweep_matches_reference(pipe, times):
 @pytest.mark.parametrize("n", [12, 14])
 def test_sweep_matches_per_time_reference_on_resonant_blocks(n, chain):
     e, metric = resonant_metric(n)
-    pipe = ComplexityPipeline(e, metric, chain)
+    pipe = ComplexityPipeline(e, metric.matrix(e.size), chain)
     assert_sweep_matches_reference(pipe, np.linspace(20000.0, 24000.0, 41))
 
 
@@ -321,19 +320,20 @@ def test_sweep_matches_per_time_reference_su_and_unit_cost(chain):
     times = np.sort(rng.uniform(10.0, 5000.0, size=15))
     su = ComplexityMetric(20.0, SU_NU_FACTOR * 20.0, projector_q(e))
     for metric in (su, ComplexityMetric()):
-        assert_sweep_matches_reference(ComplexityPipeline(e, metric, chain), times)
+        assert_sweep_matches_reference(ComplexityPipeline(e, metric.matrix(20), chain), times)
 
 
 def test_sweep_rejects_unsorted_times():
     e = normalize_energies(np.arange(4.0))
-    pipe = ComplexityPipeline(e, ComplexityMetric(mu=1.0, nu=0.0, q=None))
+    pipe = ComplexityPipeline(e, ComplexityMetric(mu=1.0, nu=0.0, q=None).matrix(4))
     with pytest.raises(ValueError):
         pipe.sweep(np.array([2.0, 1.0, 3.0]))
 
 
 def test_complexity_single_time_sweep():
     e = normalize_energies(np.arange(6.0))
-    v = ComplexityPipeline(e, ComplexityMetric(mu=1.0, nu=0.0, q=None)).sweep([50.0]).values[0]
+    g = ComplexityMetric(mu=1.0, nu=0.0, q=None).matrix(6)
+    v = ComplexityPipeline(e, g).sweep([50.0]).values[0]
     assert v == pytest.approx(float(bi_invariant_complexity(e, 50.0)), abs=1e-9)
 
 

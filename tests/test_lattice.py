@@ -13,6 +13,7 @@ from evolat.lattice import (
     IterationCapError,
     SolverChain,
     TriangularLattice,
+    _column_norms_sq,
     babai_nearest_plane,
     enumerate_cvp,
     greedy_descent,
@@ -34,6 +35,7 @@ from oracles import (
     naive_round,
     widening_box_cvp,
 )
+from test_nonlocality_stream import traced_peak
 
 
 def random_lattice(rng, d, scale=1.0):
@@ -168,7 +170,7 @@ def resonant_lattice(n=12):
     spec = linalg.normalize_spectrum(linalg.eigendecompose(h))
     q = engine.nonlocality_matrix(spec, resonant.ResonantClassifier(block, 4))
     metric = engine.ComplexityMetric(mu=float(spec.dim), q=q)
-    pipe = engine.ComplexityPipeline(spec.energies, metric, chain="babai")
+    pipe = engine.ComplexityPipeline(spec.energies, metric.matrix(spec.dim), chain="babai")
     assert pipe.lattice.dim == {12: 77, 14: 135}[n]
     return pipe.lattice
 
@@ -378,6 +380,23 @@ def test_babai_covering_bound(seed):
     for _ in range(5):
         inst = lat.with_target(rng.uniform(-10.0, 10.0, size=d))
         assert inst.distance(babai_nearest_plane(inst)) <= bound + 1e-9
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("d", [7, 600])
+def test_column_norms_are_the_whole_sum_bit_for_bit(order, d):
+    """Greedy's column norms by panels equal np.sum(b * b, axis=0) to the
+    bit in both memory orders: the LLL basis is C-ordered, the Cholesky
+    factor F-ordered, and numpy sums a contiguous column pairwise."""
+    rng = np.random.default_rng(d)
+    b = np.asarray(np.triu(rng.standard_normal((d, d)) * np.exp(rng.uniform(-3, 3, d))),
+                   order=order)
+    assert np.array_equal(_column_norms_sq(b), np.sum(b * b, axis=0))
+
+
+def test_column_norms_hold_no_temporary_of_the_basis_size():
+    b = np.random.default_rng(3).standard_normal((1000, 1000))
+    assert traced_peak(lambda: _column_norms_sq(b)) < 0.5 * b.nbytes
 
 
 def test_greedy_keeps_optimum():

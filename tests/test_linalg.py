@@ -1,5 +1,6 @@
 import errno
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,26 @@ def test_hermitian_matrix_rejects_asymmetric():
 def test_hermitian_matrix_rejects_nonsquare():
     with pytest.raises(ValueError):
         HermitianMatrix(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("bad, where", [
+    (np.nan, (1, 1)), (np.nan, (0, 2)), (np.inf, (0, 2)), (-np.inf, (3, 3)),
+], ids=["nan-diagonal", "nan-pair", "inf-pair", "minus-inf-diagonal"])
+def test_hermitian_matrix_refuses_a_non_finite_entry(dtype, bad, where):
+    """NaN compares false and inf - inf is NaN, so either would pass the
+    Hermiticity tolerance; both are refused before it, without a warning."""
+    m = np.eye(4, dtype=dtype)
+    m[where] = m[where[::-1]] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite entry"):
+            HermitianMatrix(m)
+    if dtype is np.complex128:
+        m = np.eye(4, dtype=dtype)
+        m[where] = m[where[::-1]] = complex(0.0, bad)
+        with pytest.raises(ValueError, match="non-finite entry"):
+            HermitianMatrix(m)
 
 
 def test_hermitian_matrix_is_read_only():
