@@ -150,6 +150,7 @@ def _build_syk(mc: dict) -> Model:
     rng = np.random.default_rng(mc.get("seed", 0))
     try:
         rep = syk.build_clifford(n)
+        syk.check_dense(rep)
     except ValueError as exc:
         raise SystemExit(f"syk n_modes: {exc}") from None
     j2 = syk.sample_quadratic_couplings(n, rng)

@@ -34,6 +34,7 @@ GREEDY_MAX_MOVES = 10_000
 ENUM_MAX_NODES = 1_000_000
 EXACT_MAX_DIM = 12  # the ladder's exact rung runs up to this dimension
 RANK_TOL = 1e-10
+HALF_BELOW = math.nextafter(0.5, 0.0)  # x + 0.5 >= 1 exactly when x >= this
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -180,85 +181,133 @@ def lll_reduce_with_transform(lattice: TriangularLattice, delta: float = LLL_DEL
     IterationCapError after 10 * dim**2 swaps.
 
     The result is the one-position-at-a-time loop's, bit for bit; only tests
-    whose answer is known are skipped.  A column that took no step at its
-    last level test is clean: a swap keeps its rows above k-1 and
-    diag[:k-1], so it sinks untested (a stepped one may sit at +-1/2, which
-    rounds to +-1 again).  When k climbs below the highest position it has
+    whose answer is known are skipped.  A position -> column list reaches the
+    columns of r and U, so a swap moves list entries, not columns, and the
+    diagonal is kept by position.  r is row-major: a reflection is one BLAS
+    product of two whole rows, whose columns left of the pair are zeros and
+    stay zeros.  Each column has a mark: its rows above the mark took no step
+    when last tested and have not changed since, so size reduction and the
+    re-tests start there.  A column that took no step keeps its rows above
+    k-1 through a swap and stays clean, so its whole run of swaps is decided
+    from its own entries and the diagonal before the run's reflections are
+    applied in order.  When k climbs below the highest position it has
     reached, those positions are tested at once, Lovasz and levels, and k
-    jumps to the first that fails or needs a step.  A position -> column
-    list reaches U, so a swap moves two list entries, not two columns.
+    jumps to the first that fails or needs a step.
     """
     if not (0.25 < delta <= 1.0):
         raise ValueError(f"delta must lie in (1/4, 1], got {delta}")
     d = lattice.dim
-    # the targets ride along as extra columns, so each reflection rotates
-    # them too; column-major, as size reduction and swaps work on columns
-    aug = np.asfortranarray(np.column_stack([lattice.r, lattice.target.T]))
+    # the targets ride along as extra columns, so each reflection rotates them too
+    aug = np.empty((d, d + lattice.target.size // d))
+    aug[:, :d] = lattice.r
+    aug[:, d:] = lattice.target.reshape(-1, d).T
+    u, col = _lll_in_place(aug, d, delta)
+    # take on the whole of aug copies r's columns once and row-major
+    reduced = TriangularLattice(np.take(aug, col, axis=1),
+                                aug[:, d:].T.reshape(lattice.target.shape))
+    return reduced, np.asfortranarray(u[:, col])
+
+
+def _lll_in_place(aug: np.ndarray, d: int, delta: float):
+    """lll_reduce_with_transform's loop on the row-major [r | targets], in
+    place; returns (U, col), col[p] being the column of r and U at position
+    p.  Its temporaries die on return, before the caller's D x D copies."""
     r = aug[:, :d]
-    diag, sup = r.diagonal(), r.diagonal(1)  # views: they follow the swaps
+    lone = aug.shape[1] == d + 1  # one target
+    buf = np.empty((2, aug.shape[1]))
+    diag = r.diagonal().copy()  # by position
+    mark = np.zeros(d, dtype=np.intp)  # by column
     u = np.eye(d, dtype=np.int64, order="F")
-    col = list(range(d))  # the column of u at each position
+    col = np.arange(d)  # the column of r and u at each position
+    pos = np.arange(d)
     peak = [1] * d  # per column of u
     swap_cap = 10 * d * d
     swaps = 0
     k = seen = 1
-    clean = False
     while k < d:
+        c = int(col[k])
         # size reduction, highest level first, visiting only the levels
-        # whose coefficient rounds to a nonzero integer; floor(|mu| + 0.5)
-        # is round_half_away's own magnitude, so the test agrees with it
-        # (|mu| > 0.5 would not: the float just below 0.5 rounds to 1)
-        top = 0 if clean else k
-        clean = True
-        while top:
-            mu = r[:top, k] / diag[:top]
-            mag = np.floor(np.abs(mu) + 0.5)
-            levels = mag.nonzero()[0]
+        # whose coefficient rounds to a nonzero integer: |mu| + 0.5 rounds
+        # to 1 or more exactly when |mu| >= HALF_BELOW, the float just below
+        # 1/2, so the test agrees with round_half_away
+        lo, top = int(mark[c]), k
+        while lo < top:
+            mu = r[lo:top, c] / diag[lo:top]
+            levels = (np.abs(mu) >= HALF_BELOW).nonzero()[0]
             if levels.size == 0:
                 break
-            j = int(levels[-1])
-            m = int(math.copysign(mag[j], mu[j]))
-            _shear_transform(u, peak, col[k], col[j], m, swaps)
-            r[: j + 1, k] -= m * r[: j + 1, j]
-            top, clean = j, False
-        a, b, x = float(r[k - 1, k]), float(r[k, k]), float(diag[k - 1])
+            i = int(levels[-1])
+            j, cj, mi = lo + i, int(col[lo + i]), float(mu[i])
+            m = int(math.copysign(math.floor(abs(mi) + 0.5), mi))
+            _shear_transform(u, peak, c, cj, m, swaps)
+            r[: j + 1, c] -= m * r[: j + 1, cj]
+            lo, top = 0, j
+        # a stepped level may sit at +-1/2, which rounds to +-1 again
+        mark[c] = top
+        a, b, x = float(r[k - 1, c]), float(diag[k]), float(diag[k - 1])
         if delta * x * x <= a * a + b * b:
-            k, clean = k + 1, False
+            k += 1
             if k < seen:
-                # the scalar tests of positions k..seen-1, element for
-                # element; floor(y) >= 1 exactly when y >= 1
-                dg, up = diag[k - 1 : seen - 1], sup[k - 1 : seen - 1]
+                # the scalar tests of positions k..seen-1, element for element
+                cols = col[k:seen]
+                dg, up = diag[k - 1 : seen - 1], r[pos[k - 1 : seen - 1], cols]
                 fails = (delta * dg * dg > up * up + diag[k:seen] ** 2).nonzero()[0]
                 f = k + int(fails[0]) if fails.size else seen
-                steps = np.abs(r[:f, k:f] / diag[:f, None]) + 0.5 >= 1.0
-                steps &= np.arange(f)[:, None] < np.arange(k, f)  # levels below each
-                steps = steps.any(axis=0).nonzero()[0]
-                k = k + int(steps[0]) if steps.size else f
+                if f > k:
+                    # below each diagonal r is 0, on it |mu| is 1
+                    cols = cols[: f - k]
+                    lo = int(mark[cols].min())
+                    steps = r[lo:f, cols]
+                    np.abs(steps, out=steps)
+                    steps /= diag[lo:f, None]
+                    steps = steps >= HALF_BELOW
+                    steps[pos[k - lo : f - lo], pos[: f - k]] = False
+                    steps = steps.any(axis=0).nonzero()[0]
+                    n = int(steps[0]) if steps.size else f - k
+                    mark[cols[:n]] = pos[k : k + n]
+                    k += n
             seen = max(seen, k)
             continue
-        swaps += 1
-        if swaps > swap_cap:
-            raise IterationCapError(
-                f"LLL exceeded {swap_cap} swaps at dimension {d} (delta={delta}); "
-                "basis may be pathological"
-            )
-        # swap positions k-1 and k (numpy copies an overlapping source first);
-        # in r only the rows above k-1, as the reflection sets rows k-1 and k
-        pair = r[: k - 1, k - 1 : k + 1]
-        pair[...] = pair[:, ::-1]
-        col[k - 1], col[k] = col[k], col[k - 1]
-        # the reflection [[c, s], [s, -c]] of rows k-1 and k takes the
-        # swapped columns (a, b) and (x, 0) to (rho, 0) and (c x, s x)
-        rho = math.hypot(a, b)
-        c, s = a / rho, b / rho
-        rows = aug[k - 1 : k + 1, k + 1 :]
-        rows[...] = np.array([[c, s], [s, -c]]) @ rows
-        r[k - 1, k - 1], r[k - 1, k], r[k, k - 1], r[k, k] = rho, c * x, 0.0, s * x
-        # the column now at k-1 stays clean; at k = 1 the other one is at 1
-        clean = clean and k > 1
-        k = max(k - 1, 1)
-    target = aug[:, d:].T.reshape(lattice.target.shape)
-    return TriangularLattice(np.ascontiguousarray(r), target), np.asfortranarray(u[:, col])
+        # the column sinks, and while it took no step it keeps sinking
+        # until Lovasz holds or it reaches position 0
+        clean, hi, run = mark[c] == k, k, []
+        while True:
+            swaps += 1
+            if swaps > swap_cap:
+                raise IterationCapError(
+                    f"LLL exceeded {swap_cap} swaps at dimension {d} (delta={delta}); "
+                    "basis may be pathological"
+                )
+            rho = math.hypot(a, b)
+            cs, sn = a / rho, b / rho
+            run.append(((cs, sn), (sn, -cs)))
+            k -= 1
+            if not clean or k == 0:
+                break
+            a, b, x = float(r[k - 1, c]), rho, float(diag[k - 1])
+            if delta * x * x <= a * a + b * b:
+                break
+        # the reflection [[cs, sn], [sn, -cs]] of rows p-1 and p takes the
+        # swapped columns (a, b) and (x, 0) to (rho, 0) and (cs x, sn x)
+        run = np.array(run)
+        diag[k + 1 : hi + 1] = run[::-1, 0, 1] * diag[k:hi]
+        diag[k] = rho
+        for p, h in zip(range(hi, k, -1), run):
+            rows = aug[p - 1 : p + 1]
+            # numpy's matrix-vector product rounds otherwise than its
+            # matrix product: a lone target column beyond p keeps it
+            narrow = h @ rows[:, d:] if lone and p == d - 1 else None
+            np.dot(h, rows, out=buf)
+            rows[...] = buf
+            if narrow is not None:
+                rows[:, d:] = narrow
+        r[k, c] = rho
+        r[k + 1 : hi + 1, c] = 0.0
+        col[k + 1 : hi + 1] = col[k:hi]
+        col[k] = c
+        np.minimum(mark, k, out=mark)  # rows k..hi changed
+        k = max(k, 1)
+    return u, col
 
 
 def babai_nearest_plane(lattice: TriangularLattice) -> np.ndarray:

@@ -88,15 +88,23 @@ def _distinct(x: np.ndarray) -> list:
     return sorted(set(x.tolist()))
 
 
-def _scatter(rep: CliffordRep, x: np.ndarray, z: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """Dense sum_t coeff_t X^x_t Z^z_t.  Entry [k, k ^ x] of X^x Z^z is
-    (-1)^popcount(z & (k ^ x)), so strings sharing an x are one product."""
+def check_dense(rep: CliffordRep) -> None:
+    """Raise ValueError when the dense Hamiltonian of rep and its eigh need
+    more than DENSE_BYTES_LIMIT bytes; D alone decides, so a caller can ask
+    before anything of size D x D exists."""
     d = rep.dim
     need = 8 * 16 * d * d
     if need > DENSE_BYTES_LIMIT:
         raise ValueError(
             f"n = {rep.n_modes} modes: the dense D = {d} Hamiltonian and its eigh need "
             f"about {need} bytes, above DENSE_BYTES_LIMIT = {DENSE_BYTES_LIMIT}")
+
+
+def _scatter(rep: CliffordRep, x: np.ndarray, z: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """Dense sum_t coeff_t X^x_t Z^z_t.  Entry [k, k ^ x] of X^x Z^z is
+    (-1)^popcount(z & (k ^ x)), so strings sharing an x are one product."""
+    check_dense(rep)
+    d = rep.dim
     h = np.zeros((d, d), dtype=np.complex128)
     k = np.arange(d)
     for mask in _distinct(x):

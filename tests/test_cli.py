@@ -142,6 +142,8 @@ def test_missing_model_key_is_named_before_any_array(tmp_path, monkeypatch, mode
     ({"family": "resonant", "kind": "truncated", "n_particles": 40, "total_level": 40},
      "resonant block: .* exceeding the 20000-state guard"),
     ({"family": "syk", "variant": "free", "n_modes": 13}, "syk n_modes: need an even number"),
+    ({"family": "syk", "variant": "free", "n_modes": 26},
+     "syk n_modes: n = 26 modes: the dense D = 8192 Hamiltonian .* 8589934592 bytes"),
     ({"family": "synthetic", "kind": "goe", "dim": 1.5},
      "model dim must be a non-negative integer, got 1.5"),
     ({"family": "synthetic", "kind": "goe", "dim": 1}, "needs dim >= 2, got 1"),
@@ -162,7 +164,7 @@ def test_missing_model_key_is_named_before_any_array(tmp_path, monkeypatch, mode
     ({"family": "syk", "variant": "integrable", "n_modes": 8, "epsilon": float("inf")},
      "syk epsilon must be finite, got inf"),
 ], ids=["count-not-a-number", "negative-count", "block-over-guard", "odd-modes",
-        "fractional-dim", "dim-1", "negative-seed", "epsilon-not-a-number",
+        "modes-over-dense-limit", "fractional-dim", "dim-1", "negative-seed", "epsilon-not-a-number",
         "modes-not-a-number", "alpha-null", "alpha-nan", "delta-coeff-inf", "epsilon-nan",
         "epsilon-inf"])
 def test_bad_model_value_refused_with_a_message(tmp_path, model, message):

@@ -164,14 +164,14 @@ def assert_matches_stepwise(lat, delta=0.99):
 
 def resonant_lattice(n=12):
     """The Cholesky lattice of the truncated (n,n) block, threshold 4,
-    mu = D (77 at n = 12)."""
+    mu = D (77 at n = 12, 135 at 14 and 231 at 16)."""
     block = resonant.enumerate_block(n, n)
     h = resonant.build_block_hamiltonian(block, resonant.CouplingScheme("truncated"))
     spec = linalg.normalize_spectrum(linalg.eigendecompose(h))
     q = engine.nonlocality_matrix(spec, resonant.ResonantClassifier(block, 4))
     metric = engine.ComplexityMetric(mu=float(spec.dim), q=q)
     pipe = engine.ComplexityPipeline(spec.energies, metric.matrix(spec.dim), chain="babai")
-    assert pipe.lattice.dim == {12: 77, 14: 135}[n]
+    assert pipe.lattice.dim == {12: 77, 14: 135, 16: 231}[n]
     return pipe.lattice
 
 
@@ -179,7 +179,7 @@ def test_lll_matches_reference_on_resonant_block():
     assert_matches_reference(resonant_lattice())
 
 
-@pytest.mark.parametrize("n", [12, 14])
+@pytest.mark.parametrize("n", [12, 14, 16])
 def test_lll_is_stepwise_on_resonant_blocks(n):
     """The resonant lattices sink columns in long cascades and climb back
     through positions already tested; a stack of targets rides along."""
@@ -229,19 +229,35 @@ def test_lll_steps_a_half_coefficient_at_every_level_it_sinks():
     assert lll_reference(lat)[1][:, 1].tolist() == [0, 0, 0, 0, 1]
 
 
-@pytest.mark.parametrize("r", [
+LAST_FIRST = [[3, 1, -1, 0.4], [0, 3, 1, 0.3], [0, 0, 3, -0.2], [0, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("r, target", [
     # the climb from position 2 stops at 3, whose Lovasz test fails while
     # its column needs no step
-    [[3, 0, 0, -3], [0, 3, 0, 2], [0, 0, 3, 1], [0, 0, 0, 2]],
+    ([[3, 0, 0, -3], [0, 3, 0, 2], [0, 0, 3, 1], [0, 0, 0, 2]], None),
     # the climb from position 2 stops at 3, whose column needs a step at
     # level 2, the one just below it
-    [[3, 3, -2, -2, 1], [0, 1, 3, -1, 3], [0, 0, 3, -3, -1], [0, 0, 0, 3, 1], [0, 0, 0, 0, 2]],
+    ([[3, 3, -2, -2, 1], [0, 1, 3, -1, 3], [0, 0, 3, -3, -1], [0, 0, 0, 3, 1],
+      [0, 0, 0, 0, 2]], None),
     # a swap at position 1 brings the other column there, to be tested
-    [[3, 1], [0, 1]],
-], ids=["climb-to-lovasz", "climb-to-step", "swap-at-1"])
-def test_lll_skips_only_what_the_loop_would_find_empty(r):
-    lat = TriangularLattice(np.array(r, dtype=float), [0.5, -1.5, 0.25, 1.0, -0.5][: len(r)])
-    assert_matches_stepwise(lat)
+    ([[3, 1], [0, 1]], None),
+    # column 3 takes no step and sinks in one run to position 0
+    ([[4, 0.3, 0.2, 0.1], [0, 4, 0.3, 0.2], [0, 0, 4, 0.1], [0, 0, 0, 1]], None),
+    # column 3 takes a step at level 0 and one swap; at position 2 it takes
+    # none, and sinks on to position 0 as a run
+    ([[2, 0, 0, 1.2], [0, 2, 0, 0.1], [0, 0, 2, 0.1], [0, 0, 0, 0.3]], None),
+    # the first swap is at the last position, where the only column beyond
+    # the pair is a target: numpy turns a lone one with its matrix-vector
+    # product and a stack with its matrix product, which round apart
+    (LAST_FIRST, [0.3, -1.7, 0.45, 1.1]),
+    (LAST_FIRST, [[0.3, -1.7, 0.45, 1.1], [2.9, 0.7, -3.3, 0.1], [-1.3, 0.9, 1.9, -2.7]]),
+], ids=["climb-to-lovasz", "climb-to-step", "swap-at-1", "run-to-0", "stepped-then-run",
+        "last-first-one-target", "last-first-stack"])
+def test_lll_skips_only_what_the_loop_would_find_empty(r, target):
+    if target is None:
+        target = [0.5, -1.5, 0.25, 1.0, -0.5][: len(r)]
+    assert_matches_stepwise(TriangularLattice(np.array(r, dtype=float), target))
 
 
 def test_lll_runs_no_qr(monkeypatch):
