@@ -93,9 +93,11 @@ class TriangularLattice:
             raise ValueError(f"basis must be square, got shape {r.shape}")
         if not np.all(np.isfinite(r)):
             raise ValueError("basis has a non-finite entry")
-        # below the diagonal, one panel of rows i:i+PANEL_ROWS at a time
-        panels = range(0, r.shape[0], PANEL_ROWS)
-        if any(np.tril(r[i : i + PANEL_ROWS], i - 1).any() for i in panels):
+        # below the diagonal, one panel of rows i:i+PANEL_ROWS at a time,
+        # read through a boolean mask of the panel's lower part, not copied
+        d = r.shape[0]
+        if any(np.any(r[i : i + PANEL_ROWS], where=np.tri(min(PANEL_ROWS, d - i), d, i - 1, bool))
+               for i in range(0, d, PANEL_ROWS)):
             raise ValueError("r must be upper triangular")
         diag = np.diag(r)
         if diag.min() <= RANK_TOL * np.abs(diag).max():

@@ -109,27 +109,37 @@ class Spectrum:
 
     energies are real and ascending; vectors holds the eigenvectors as
     columns, orthonormal to ORTHONORMALITY_TOL.  vectors is float64 when
-    given real and complex128 when given complex.
+    given real and complex128 when given complex.  blocks[j] labels the
+    block of basis state j when the matrix is a direct sum of exactly
+    decoupled blocks; then every eigenvector is exactly zero off its own
+    block.  None, the default, is one block (every label 0).
     """
 
     energies: np.ndarray
     vectors: np.ndarray
+    blocks: np.ndarray | None = None
 
     def __post_init__(self):
         e = np.asarray(self.energies, dtype=float)
         v = np.asarray(self.vectors)
         v = v.astype(_float_dtype(v), copy=False)
+        lab = np.zeros(e.size, np.intp) if self.blocks is None else np.array(self.blocks, np.intp)
         if e.ndim != 1:
             raise ValueError("energies must be a vector")
         if v.shape != (e.size, e.size):
             raise ValueError(f"vectors shape {v.shape} does not match {e.size} energies")
+        if lab.shape != e.shape:
+            raise ValueError(f"{lab.size} block labels for {e.size} energies")
         if np.any(np.diff(e) < 0):
             raise ValueError("energies must be sorted ascending")
+        if lab.any():
+            _refuse_off_blocks(v, lab)
         dev = max(_gram_deviation(v, r) for r in range(0, e.size, PANEL_ROWS))
         if dev > ORTHONORMALITY_TOL:
             raise ValueError(f"eigenvector columns not orthonormal: deviation {dev:.3e}")
         object.__setattr__(self, "energies", _read_only(e))
         object.__setattr__(self, "vectors", _read_only(v))
+        object.__setattr__(self, "blocks", _read_only(lab))
 
     @property
     def dim(self) -> int:
@@ -141,6 +151,17 @@ def _gram_deviation(v: np.ndarray, r: int) -> float:
     g = v[:, r : r + PANEL_ROWS].conj().T @ v
     g.reshape(-1)[r :: v.shape[0] + 1] -= 1.0  # the identity's entries in these rows
     return np.abs(g).max()
+
+
+def _refuse_off_blocks(v: np.ndarray, lab: np.ndarray) -> None:
+    """Refuse a V whose columns are not each exactly zero off one block of
+    the labels lab; each column's block is that of its largest entry.  With
+    V orthonormal this also gives each block as many eigenvectors as states."""
+    panels = range(0, lab.size, PANEL_ROWS)
+    cols = lab[np.concatenate([np.abs(v[:, c : c + PANEL_ROWS]).argmax(axis=0) for c in panels])]
+    if any(np.any(v[r : r + PANEL_ROWS], where=lab[r : r + PANEL_ROWS, None] != cols)
+           for r in panels):
+        raise ValueError("eigenvector columns are not zero off their blocks")
 
 
 def _reconstruction_deviation(h: np.ndarray, v: np.ndarray, e: np.ndarray, r: int) -> tuple:
@@ -178,16 +199,72 @@ def _lapack_eigh(kernel, h: np.ndarray) -> tuple:
     return w, np.ascontiguousarray(a)
 
 
+def _block_labels(h: np.ndarray) -> np.ndarray:
+    """The block of each basis state: the connected components of H's
+    nonzero pattern, numbered from 0 in the order of their first state.
+    Found breadth first, so each row of H is read once, PANEL_ROWS rows at
+    a time.  A row that reaches a state of an earlier block means the
+    pattern is not symmetric; H is then one block (every label 0)."""
+    d = h.shape[0]
+    lab = np.full(d, -1)
+    count = 0
+    for first in range(d):
+        if lab[first] >= 0:
+            continue
+        lab[first], front = count, np.array([first])
+        while front.size:
+            reached = np.zeros(d, dtype=bool)
+            for i in range(0, front.size, PANEL_ROWS):
+                reached |= np.any(h[front[i : i + PANEL_ROWS]], axis=0)
+            if np.any(reached & (lab >= 0) & (lab < count)):
+                return np.zeros(d, np.intp)
+            front = np.flatnonzero(reached & (lab < 0))
+            lab[front] = count
+        count += 1
+    return lab
+
+
+def _checked_eigh(kernel, h: np.ndarray) -> tuple:
+    """(energies, vectors, max |V diag(e) V^dagger - H|, max |H|) of h, by
+    LAPACK, or by np.linalg.eigh when kernel is None; the check runs over
+    row panels."""
+    e, v = np.linalg.eigh(h) if kernel is None else _lapack_eigh(kernel, h)
+    panels = [_reconstruction_deviation(h, v, e, r) for r in range(0, h.shape[0], PANEL_ROWS)]
+    return (e, v, *np.max(panels, axis=0))
+
+
 def eigendecompose(matrix: HermitianMatrix) -> Spectrum:
     """Full eigendecomposition, ascending eigenvalues; real eigenvectors for a
-    real matrix.  Beyond the input it holds at most 3 dim^2 entries (a copy
-    and LAPACK's workspace), and the checks work in row panels."""
+    real matrix.
+
+    A connected H goes through one LAPACK call on H itself: beyond the
+    input it holds at most 3 dim^2 entries (a copy and LAPACK's
+    workspace), and the checks work in row panels.  An H that is a direct
+    sum of exactly decoupled blocks (the components of its nonzero
+    pattern, as for a Hamiltonian that conserves fermion parity) is
+    diagonalized block by block: V is exactly zero off the blocks, the
+    energies are merged by a stable sort, and the spectrum carries the
+    block labels.  Each block is checked on its own against the largest
+    entry of the whole H, as V diag(e) V^dagger and H are both zero off
+    the blocks."""
     h = matrix.entries
     kernel = _ZHEEVD if np.iscomplexobj(h) else _DSYEVD
-    e, v = np.linalg.eigh(h) if kernel is None else _lapack_eigh(kernel, h)
-    spec = Spectrum(e, v)
-    panels = [_reconstruction_deviation(h, v, e, r) for r in range(0, h.shape[0], PANEL_ROWS)]
-    dev, scale = np.max(panels, axis=0)
+    lab = _block_labels(h)
+    if not lab.any():
+        e, v, dev, scale = _checked_eigh(kernel, h)
+        spec = Spectrum(e, v)
+    else:
+        blocks = [np.flatnonzero(lab == b) for b in range(lab.max() + 1)]
+        parts = [_checked_eigh(kernel, h[np.ix_(rows, rows)]) for rows in blocks]
+        dev, scale = np.max([part[2:] for part in parts], axis=0)
+        e = np.concatenate([part[0] for part in parts])
+        order = np.argsort(e, kind="stable")
+        column = np.empty_like(order)
+        column[order] = np.arange(order.size)  # where each block's eigenvectors go in V
+        v = np.zeros(h.shape, parts[0][1].dtype)
+        for rows, cols in zip(blocks, np.split(column, np.cumsum([b.size for b in blocks[:-1]]))):
+            v[np.ix_(rows, cols)] = parts.pop(0)[1]  # each block's vectors freed once placed
+        spec = Spectrum(e[order], v, lab)
     if dev > RECONSTRUCTION_TOL * max(scale, 1.0):
         raise ArithmeticError(f"eigendecomposition failed to reconstruct: {dev:.3e}")
     return spec

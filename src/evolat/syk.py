@@ -284,28 +284,39 @@ class MonomialClassifier:
 
         T = c X^x Z^z gives <n|T|n> = c sum_j (-1)^popcount(z & j) A_x[j, n],
         A_x[j, n] = conj(v[j ^ x, n]) v[j, n], so the rows of the monomials
-        sharing an x are one product with A_x.  Each diagonal's imaginary
-        part is checked before it is dropped.
+        sharing an x are one product with A_x, gathered from one conj(V)
+        into one buffer.  A mask that takes every basis state to another of
+        the spectrum's blocks (an odd one, for a Hamiltonian that conserves
+        fermion parity) has A_x = 0 exactly, and its rows are zeros without
+        a product.  Each diagonal's imaginary part is checked before it is
+        dropped.
         """
         if spectrum.dim != self.rep.dim:
             raise ValueError("spectrum dimension does not match representation")
         modes = [_combinations(self.rep.n_modes, w) for w in range(1, self.threshold + 1)]
         x, z, c = map(np.concatenate, zip(*(monomial_strings(self.rep, m) for m in modes)))
-        d, v, j = spectrum.dim, spectrum.vectors, np.arange(spectrum.dim)
+        order = np.argsort(x, kind="stable")
+        d, v, j, lab = spectrum.dim, spectrum.vectors, np.arange(spectrum.dim), spectrum.blocks
+        conj_v = np.conjugate(v, dtype=np.complex128)
+        a = np.empty((d, d), np.complex128)
         rows = engine.Q_BLOCK_ROWS
         block, fill = None, 0
-        for mask in _distinct(x):
-            a = np.asarray(v[j ^ mask], dtype=np.complex128, order="C")  # a copy
-            np.conjugate(a, out=a)
-            a *= v
-            a = a.view(np.float64)  # (d, 2d) reals: one real product gives both parts
-            group = np.flatnonzero(x == mask)
+        for group in np.split(order, np.flatnonzero(np.diff(x[order])) + 1):
+            flip = j ^ x[group[0]]
+            crosses = bool(np.all(lab[flip] != lab))
+            if not crosses:
+                np.take(conj_v, flip, axis=0, out=a, mode="clip")
+                a *= v
             while group.size:
                 if block is None:  # allocated only once the last one is released
                     block = np.empty((rows, d))
                 part, group = group[: rows - fill], group[rows - fill:]
-                diag = (_signs(z[part], j) @ a).view(np.complex128)
-                block[fill : fill + part.size] = engine.real_block(c[part, None] * diag)
+                out = block[fill : fill + part.size]
+                if crosses:
+                    out[:] = 0.0
+                else:  # (d, 2d) reals: one real product gives both parts
+                    diag = (_signs(z[part], j) @ a.view(np.float64)).view(np.complex128)
+                    out[:] = engine.real_block(c[part, None] * diag)
                 fill += part.size
                 if fill == rows:
                     yield block

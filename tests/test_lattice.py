@@ -627,6 +627,16 @@ def test_triangular_check_covers_every_panel(row, col):
         TriangularLattice(bad, np.zeros(d))
 
 
+@pytest.mark.parametrize("d", [135, linalg.PANEL_ROWS + 44])
+def test_triangular_check_copies_no_panel(d):
+    """The check below the diagonal reads r through a boolean mask: beyond
+    r it holds less than half of r's bytes (its float copy of a panel was
+    the whole of r at d = 135, 1.6 times r's bytes with its temporaries)."""
+    r = np.triu(np.random.default_rng(3).uniform(0.5, 1.0, (d, d)))
+    t = np.zeros(d)
+    assert traced_peak(lambda: TriangularLattice(r, t)) < 0.5 * r.nbytes
+
+
 def test_with_target_shares_the_basis():
     lat = TriangularLattice(np.array([[2.0, 1.0], [0.0, 3.0]]), np.zeros(2))
     moved = lat.with_target([1.0, 2.0])

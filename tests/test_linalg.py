@@ -174,9 +174,11 @@ def test_spectrum_check_covers_every_panel():
 
 def test_reconstruction_check_covers_every_panel(monkeypatch):
     """An energy off in the last panel fails the reconstruction, whose scale
-    is the largest entry of H over all panels."""
+    is the largest entry of H over all panels.  A coupling of 1e-13 between
+    neighbours keeps H one block, so the check runs over H's panels."""
     d = PANEL_ROWS + 44
     h = np.diag(np.arange(d, dtype=float))
+    h += np.diag(np.full(d - 1, 1e-13), 1) + np.diag(np.full(d - 1, 1e-13), -1)
     wrong = np.arange(d, dtype=float)
     wrong[-1] += 1e-3
     monkeypatch.setattr(linalg, "_DSYEVD", "a kernel")
@@ -185,6 +187,99 @@ def test_reconstruction_check_covers_every_panel(monkeypatch):
         eigendecompose(HermitianMatrix(h))
     wrong[-1] = d - 1 + 1e-9 * (d - 1) / 2  # within the tolerance at the scale of H
     eigendecompose(HermitianMatrix(h))
+
+
+def permuted_block_diagonal(dtype, sizes=(5, 17, 9), seed=11) -> tuple:
+    """A Hermitian direct sum of random blocks of the given sizes, its basis
+    shuffled so that the blocks' states interleave, and the block of each
+    state, numbered in the order of the blocks' first states."""
+    rng = np.random.default_rng(seed)
+    d = sum(sizes)
+    owner = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    h = np.zeros((d, d), dtype)
+    for b, k in enumerate(sizes):
+        a = rng.standard_normal((k, k))
+        if dtype is np.complex128:
+            a = a + 1j * rng.standard_normal((k, k))
+        states = np.flatnonzero(owner == b)
+        h[np.ix_(states, states)] = (a + a.conj().T) / 2.0
+    first = sorted(range(len(sizes)), key=lambda b: np.flatnonzero(owner == b)[0])
+    return h, np.argsort(first)[owner]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_eigendecompose_splits_a_permuted_block_diagonal_matrix(dtype):
+    """Three unequal decoupled blocks, their states interleaved: the energies
+    are eigvalsh's, every eigenvector is exactly zero off its own block, and
+    the spectrum carries each state's block."""
+    h, labels = permuted_block_diagonal(dtype)
+    s = eigendecompose(HermitianMatrix(h))
+    assert s.vectors.dtype == dtype
+    assert np.array_equal(s.blocks, labels)
+    scale = np.abs(h).max()
+    assert np.abs(s.energies - np.linalg.eigvalsh(h)).max() < 1e-12 * scale
+    own = labels[np.abs(s.vectors).argmax(axis=0)]  # each eigenvector's block
+    assert np.all(s.vectors[labels[:, None] != own] == 0.0)
+    assert np.array_equal(np.bincount(own), np.bincount(labels))
+    rebuilt = (s.vectors * s.energies) @ s.vectors.conj().T
+    assert np.abs(rebuilt - h).max() < 1e-12 * scale
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_eigendecompose_checks_every_block(monkeypatch, dtype):
+    """A wrong energy in one block of a block-diagonal H fails the
+    reconstruction."""
+    h, _ = permuted_block_diagonal(dtype)
+
+    def wrong_in_the_9_block(kernel, m):
+        e, v = np.linalg.eigh(m)
+        if len(m) == 9:
+            e[-1] += 1e-3
+        return e, v
+
+    monkeypatch.setattr(linalg, "_DSYEVD", "a kernel")
+    monkeypatch.setattr(linalg, "_ZHEEVD", "a kernel")
+    monkeypatch.setattr(linalg, "_lapack_eigh", wrong_in_the_9_block)
+    with pytest.raises(ArithmeticError, match="reconstruct"):
+        eigendecompose(HermitianMatrix(h))
+
+
+def test_spectrum_checks_each_block():
+    """Block labels are checked against V: an eigenvector with an entry in
+    another block, a state relabelled into another block, or eigenvectors
+    that are not orthonormal are refused."""
+    h, labels = permuted_block_diagonal(np.float64)
+    s = eigendecompose(HermitianMatrix(h))
+    v = s.vectors * np.where(np.arange(labels.size) == labels.size - 1, 1.001, 1.0)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Spectrum(s.energies, v, labels)
+    v = s.vectors.copy()
+    own = labels[np.abs(v).argmax(axis=0)]
+    j = int(np.flatnonzero(labels != own[0])[0])
+    v[j, 0] = 1e-300
+    with pytest.raises(ValueError, match="not zero off their blocks"):
+        Spectrum(s.energies, v, labels)
+    moved = labels.copy()
+    moved[np.flatnonzero(labels == 0)[0]] = 1  # a state of block 0 relabeled
+    with pytest.raises(ValueError):
+        Spectrum(s.energies, s.vectors, moved)
+    with pytest.raises(ValueError, match="block labels"):
+        Spectrum(s.energies, s.vectors, labels[:-1])
+
+
+def test_asymmetric_pattern_is_one_block():
+    """An entry within the Hermiticity tolerance on one side only couples
+    two blocks in one direction; H is then diagonalized whole, as
+    np.linalg.eigh does it."""
+    h, _ = permuted_block_diagonal(np.float64)
+    i, j = 0, int(np.flatnonzero(h[0] == 0.0)[0])
+    h[max(i, j), min(i, j)] = 1e-14  # lower triangle only
+    m = HermitianMatrix(h)
+    assert not linalg._block_labels(m.entries).any()
+    s = eigendecompose(m)
+    e, v = np.linalg.eigh(m.entries)
+    assert not s.blocks.any()
+    assert np.array_equal(s.energies, e) and np.array_equal(s.vectors, v)
 
 
 def test_normalize_energies_contract():

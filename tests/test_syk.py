@@ -336,6 +336,64 @@ def test_classifier_counts_and_shape(rep8):
         assert np.abs(r - expect).max() < 1e-14
 
 
+def test_parity_blocks_and_their_diagonals(rep8):
+    """free, integrable and chaotic4 conserve fermion parity, so each H is
+    two D/2 blocks (even and odd popcount states); every monomial diagonal
+    matches the dense product, and those of odd weight, which flip parity,
+    are exact zeros.  chaotic3 couples the parities and stays one block."""
+    rng = np.random.default_rng(23)
+    j2 = sample_quadratic_couplings(8, rng)
+    omegas, frame = antisymmetric_canonical_form(j2)
+    models = {
+        "free": free_syk(rep8, j2),
+        "integrable": integrable_syk(rep8, omegas, sample_pair_couplings(8, rng), 1.0, frame=frame),
+        "chaotic4": chaotic_syk(rep8, j2, sample_many_body_couplings(8, 4, rng), 1.0, body=4),
+        "chaotic3": chaotic_syk(rep8, j2, sample_many_body_couplings(8, 3, rng), 1.0, body=3),
+    }
+    subsets = local_subsets(rep8, 4)
+    psis = dense_majoranas(8)
+    parity = np.bitwise_count(np.arange(rep8.dim)) % 2
+    for name, h in models.items():
+        spec = eigendecompose(h)
+        if name == "chaotic3":
+            assert not spec.blocks.any()
+            continue
+        assert np.array_equal(spec.blocks, parity), name
+        rows = np.vstack(list(MonomialClassifier(rep8, 4).local_diagonals(spec)))
+        assert rows.shape == (len(subsets), rep8.dim)
+        v = spec.vectors
+        for r, subset in zip(rows, subsets):
+            expect = np.einsum("in,in->n", v.conj(), dense_monomial(psis, subset) @ v)
+            assert np.abs(r - expect).max() < 1e-14, (name, subset)
+            if len(subset) % 2:
+                assert np.all(r == 0.0), (name, subset)
+
+
+def test_classifier_skips_only_masks_that_leave_every_block():
+    """With blocks {0, 1, 2, 7} and {3, 4, 5, 6} of the D = 8 states, x = 4
+    moves every state to the other block, and x = 1 keeps 0 and 1 together
+    but moves 2 and 3 apart; only masks like the first have zero rows
+    without a product, and every row matches the dense product."""
+    rep = build_clifford(6)
+    lab = np.array([0, 0, 0, 1, 1, 1, 1, 0])
+    rng = np.random.default_rng(31)
+    v = np.zeros((8, 8), np.complex128)
+    for b in (0, 1):
+        rows = np.flatnonzero(lab == b)
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        v[np.ix_(rows, rows)] = np.linalg.qr(a)[0]
+    spec = Spectrum(np.arange(8.0), v, lab)
+    subsets = local_subsets(rep, 6)
+    rows = np.vstack(list(MonomialClassifier(rep, 6).local_diagonals(spec)))
+    psis = dense_majoranas(6)
+    for r, subset in zip(rows, subsets):
+        expect = np.einsum("in,in->n", v.conj(), dense_monomial(psis, subset) @ v)
+        assert np.abs(r - expect).max() < 1e-14, subset
+    flips = {s: np.bitwise_xor.reduce(rep.x[list(s)]) for s in subsets}
+    assert all(np.all(r == 0.0) for r, s in zip(rows, subsets) if flips[s] == 4)
+    assert any(np.abs(r).max() > 0.1 for r, s in zip(rows, subsets) if flips[s] == 1)
+
+
 def test_classifier_threshold_bounds(rep8):
     with pytest.raises(ValueError):
         MonomialClassifier(rep8, 0)
