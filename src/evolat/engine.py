@@ -285,24 +285,14 @@ def bi_invariant_trace(energies: np.ndarray, times: Sequence[float]) -> Complexi
 
 
 def plateau_window(times: np.ndarray, window: tuple) -> np.ndarray:
-    """Indices of the times inside a plateau window.
-
-    window is (t_start, t_end) or (t_start, t_end, stride); a stride keeps
-    only samples at least that far apart.  Requires at least 10 samples.
-    """
-    if len(window) not in (2, 3):
-        raise ValueError("window must be (t_start, t_end[, stride])")
-    t0, t1, stride = (*window, None)[:3]
+    """Indices of the times inside a plateau window (t_start, t_end).
+    Requires at least 10 samples."""
+    if len(window) != 2:
+        raise ValueError("window must be (t_start, t_end)")
+    t0, t1 = window
     if not (times[0] <= t0 < t1 <= times[-1]):
         raise ValueError(f"window [{t0}, {t1}] outside trace range [{times[0]}, {times[-1]}]")
     idx = np.flatnonzero((times >= t0) & (times <= t1))
-    if stride is not None:
-        keep, last = [], -np.inf
-        for j, t in enumerate(times[idx]):
-            if t >= last + stride - 1e-9:
-                keep.append(j)
-                last = t
-        idx = idx[keep]
     if idx.size < 10:
         raise ValueError(f"window holds {idx.size} samples, need at least 10")
     return idx

@@ -247,10 +247,10 @@ class ResonantClassifier:
     """Local operators span |a><b| over state pairs with locality <= threshold.
 
     The diagonals come from a Hermitian orthonormal basis of the same span:
-    |a><a| for each state, (|a><b| + |b><a|)/sqrt(2) for each local pair
-    a < b, and i(|a><b| - |b><a|)/sqrt(2) as well when the eigenvectors are
-    complex.  Its rows sqrt(2) Re(conj(V_a) V_b) and sqrt(2) Im(conj(V_a) V_b)
-    are real, and the Gram matrix equals that of the |a><b| set.
+    |a><a| for each state and (|a><b| + |b><a|)/sqrt(2) for each local pair
+    a < b, whose rows are V_a^2 and sqrt(2) V_a V_b.  A resonant H is real
+    and so are its eigenvectors, on which i(|a><b| - |b><a|)/sqrt(2) has a
+    zero diagonal and yields no row.
     """
 
     block: FockBlock
@@ -263,10 +263,12 @@ class ResonantClassifier:
     def local_diagonals(self, spectrum: Spectrum) -> Iterator[np.ndarray]:
         if spectrum.dim != self.block.dim:
             raise ValueError("spectrum dimension does not match block")
+        v = spectrum.vectors
+        if np.iscomplexobj(v):
+            raise ValueError("complex eigenvectors; a resonant H is real: pass its real ones")
         local = locality_table(self.block) <= self.threshold
         if not np.array_equal(local, local.T):
             raise ValueError("locality table is not symmetric; the a<->b fold needs it")
-        v = spectrum.vectors
         # row-major pairs: state a owns rows runs[a]:runs[a + 1], (a, a) first
         a, b = np.nonzero(np.triu(local))
         runs = np.searchsorted(a, np.arange(v.shape[0] + 1))
@@ -276,15 +278,11 @@ class ResonantClassifier:
             prod = v[b[start:stop]]
             for s in range(a[start], a[stop - 1] + 1):
                 lo, hi = max(runs[s], start) - start, min(runs[s + 1], stop) - start
-                # conj(V_a) stays left: with FMA the complex product is not commutative
-                np.multiply(v[s].conj(), prod[lo:hi], out=prod[lo:hi])
+                prod[lo:hi] *= v[s]
                 # the rows with b > a, past the diagonal pair, carry a sqrt(2)
-                off = prod[lo + (runs[s] >= start) : hi].view(np.float64)
-                off *= np.sqrt(2.0)
-            yield prod.real
-            if np.iscomplexobj(prod):
-                yield prod.imag[a[start:stop] != b[start:stop]]
-            del prod, off  # release the block before the next one is gathered
+                prod[lo + (runs[s] >= start) : hi] *= np.sqrt(2.0)
+            yield prod
+            del prod  # release the block before the next one is gathered
 
 
 def block_states_csv(block: FockBlock) -> str:

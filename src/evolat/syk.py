@@ -279,17 +279,18 @@ class MonomialClassifier:
             raise ValueError(f"threshold must be in [1, {self.rep.n_modes}]")
 
     def local_diagonals(self, spectrum: Spectrum) -> Iterator[np.ndarray]:
-        """Real blocks of monomial diagonals <n|T|n>, one row per monomial:
-        by x mask ascending, then by weight and itertools.combinations order.
+        """Real blocks of monomial diagonals <n|T|n>, one row per monomial
+        whose mask keeps some state in its block: by x mask ascending, then
+        by weight and itertools.combinations order.
 
         T = c X^x Z^z gives <n|T|n> = c sum_j (-1)^popcount(z & j) A_x[j, n],
         A_x[j, n] = conj(v[j ^ x, n]) v[j, n], so the rows of the monomials
         sharing an x are one product with A_x, gathered from one conj(V)
         into one buffer.  A mask that takes every basis state to another of
         the spectrum's blocks (an odd one, for a Hamiltonian that conserves
-        fermion parity) has A_x = 0 exactly, and its rows are zeros without
-        a product.  Each diagonal's imaginary part is checked before it is
-        dropped.
+        fermion parity) has A_x = 0 exactly: its diagonals are zero and it
+        yields no rows.  Each diagonal's imaginary part is checked before it
+        is dropped.
         """
         if spectrum.dim != self.rep.dim:
             raise ValueError("spectrum dimension does not match representation")
@@ -303,20 +304,17 @@ class MonomialClassifier:
         block, fill = None, 0
         for group in np.split(order, np.flatnonzero(np.diff(x[order])) + 1):
             flip = j ^ x[group[0]]
-            crosses = bool(np.all(lab[flip] != lab))
-            if not crosses:
-                np.take(conj_v, flip, axis=0, out=a, mode="clip")
-                a *= v
+            if np.all(lab[flip] != lab):
+                continue
+            np.take(conj_v, flip, axis=0, out=a, mode="clip")
+            a *= v
             while group.size:
                 if block is None:  # allocated only once the last one is released
                     block = np.empty((rows, d))
                 part, group = group[: rows - fill], group[rows - fill:]
-                out = block[fill : fill + part.size]
-                if crosses:
-                    out[:] = 0.0
-                else:  # (d, 2d) reals: one real product gives both parts
-                    diag = (_signs(z[part], j) @ a.view(np.float64)).view(np.complex128)
-                    out[:] = engine.real_block(c[part, None] * diag)
+                # (d, 2d) reals: one real product gives both parts
+                diag = (_signs(z[part], j) @ a.view(np.float64)).view(np.complex128)
+                block[fill : fill + part.size] = engine.real_block(c[part, None] * diag)
                 fill += part.size
                 if fill == rows:
                     yield block

@@ -319,13 +319,26 @@ def local_pairs(block: FockBlock, threshold: int) -> np.ndarray:
     return np.stack([a, b], axis=1)
 
 
+def x_mask(rep, subset) -> int:
+    """The x mask of a monomial: the XOR of its modes' masks."""
+    return functools.reduce(operator.xor, (int(rep.x[i]) for i in subset))
+
+
 def local_subsets(rep, threshold: int) -> list:
     """Index tuples of the monomials of weight 1 to threshold, in the order of
-    MonomialClassifier's rows: by x mask (the XOR of the modes' masks), and
-    within one mask by weight, then in itertools.combinations order."""
+    MonomialClassifier's rows: by x mask, and within one mask by weight, then
+    in itertools.combinations order."""
     subsets = [s for w in range(1, threshold + 1)
                for s in itertools.combinations(range(rep.n_modes), w)]
-    return sorted(subsets, key=lambda s: functools.reduce(operator.xor, (int(rep.x[i]) for i in s)))
+    return sorted(subsets, key=lambda s: x_mask(rep, s))
+
+
+def kept_subsets(rep, threshold: int, blocks) -> list:
+    """The local_subsets that MonomialClassifier yields rows for: those whose
+    x mask keeps some basis state in its block of the spectrum."""
+    j = np.arange(rep.dim)
+    return [s for s in local_subsets(rep, threshold)
+            if np.any(blocks[j ^ x_mask(rep, s)] == blocks)]
 
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -453,7 +466,7 @@ def build_block_hamiltonian_loop(block: FockBlock, scheme: CouplingScheme) -> He
 
 def gathered_local_diagonals(classifier: ResonantClassifier, spectrum) -> list:
     """The resonant classifier's blocks built by two gathers per block,
-    conj(V_a) * V_b, and a separate scale pass of 1 or sqrt(2) per row.
+    V_a * V_b, and a separate scale pass of 1 or sqrt(2) per row.
     `ResonantClassifier.local_diagonals` must yield the same blocks bit for
     bit."""
     local = locality_table(classifier.block) <= classifier.threshold
@@ -465,13 +478,7 @@ def gathered_local_diagonals(classifier: ResonantClassifier, spectrum) -> list:
     for start in range(0, a.size, rows):
         sl = slice(start, start + rows)
         prod = v[a[sl]]
-        if np.iscomplexobj(prod):
-            np.conjugate(prod, out=prod)
         prod *= v[b[sl]]
-        if np.iscomplexobj(prod):
-            blocks.append(prod.real * scale[sl])
-            blocks.append(prod.imag[a[sl] != b[sl]] * np.sqrt(2.0))
-        else:
-            prod *= scale[sl]
-            blocks.append(prod)
+        prod *= scale[sl]
+        blocks.append(prod)
     return blocks

@@ -357,22 +357,21 @@ def test_plateau_stats_windowing():
     assert ps.mean == pytest.approx(4.0)
     assert ps.variance == pytest.approx(0.0)
     assert ps.count == 51
-    strided = plateau_stats(tr, (50.0, 100.0, 5.0))
-    assert strided.count == 11
 
 
 def test_plateau_window_indices_select_the_stats_samples():
     ts = np.linspace(0.0, 100.0, 101)
     assert np.array_equal(plateau_window(ts, (50.0, 100.0)), np.arange(50, 101))
-    assert np.array_equal(plateau_window(ts, (50.0, 100.0, 5.0)), np.arange(50, 101, 5))
     vals = np.sin(ts)
     tr = ComplexityTrace(ts, np.abs(vals), "biinvariant", np.zeros((101, 1), dtype=np.int64))
-    picked = np.abs(vals)[plateau_window(ts, (20.0, 90.0, 3.0))]
-    stats = plateau_stats(tr, (20.0, 90.0, 3.0))
+    picked = np.abs(vals)[plateau_window(ts, (20.5, 90.0))]
+    stats = plateau_stats(tr, (20.5, 90.0))
     assert (stats.mean, stats.variance, stats.count) == (
         float(picked.mean()), float(picked.var(ddof=1)), picked.size)
     with pytest.raises(ValueError, match="3 samples"):
         plateau_window(ts, (10.0, 12.0))
+    with pytest.raises(ValueError, match=r"\(t_start, t_end\)"):
+        plateau_window(ts, (50.0, 100.0, 5.0))
 
 
 def test_plateau_stats_window_errors():

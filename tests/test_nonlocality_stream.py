@@ -18,6 +18,7 @@ from oracles import (
     dense_majoranas,
     dense_monomial,
     gathered_local_diagonals,
+    kept_subsets,
     local_pairs,
     local_subsets,
 )
@@ -60,19 +61,24 @@ def test_resonant_stream_matches_dense_formula(n, kind):
         assert np.abs(q.entries - dense_resonant_q(cls, spec)).max() < 1e-12
 
 
-def test_resonant_stream_with_complex_eigenvectors():
-    """Column phases leave every <n|T|n> unchanged; with complex vectors the
-    classifier adds the i(|a><b| - |b><a|)/sqrt(2) rows and Q is the same."""
+def test_resonant_stream_with_complex_eigenvectors(monkeypatch):
+    """A resonant H is real: complex eigenvectors are refused before the
+    locality table, and so before any block, is built."""
     block, spec = resonant_spectrum(8, "random")
     phases = np.exp(1j * np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, spec.dim))
     cspec = linalg.Spectrum(spec.energies, spec.vectors * phases)
     assert cspec.vectors.dtype == np.complex128
+
+    def no_table(block):
+        raise AssertionError("the locality table was built")
+
+    monkeypatch.setattr(resonant, "locality_table", no_table)
     for threshold in (0, 2, 4):
         cls = resonant.ResonantClassifier(block, threshold)
-        q = nonlocality_matrix(cspec, cls)
-        assert np.array_equal(q.entries, q.entries.T)
-        assert np.abs(q.entries - dense_resonant_q(cls, cspec)).max() < 1e-12
-        assert np.abs(q.entries - nonlocality_matrix(spec, cls).entries).max() < 1e-12
+        with pytest.raises(ValueError, match="a resonant H is real"):
+            next(iter(cls.local_diagonals(cspec)))
+        with pytest.raises(ValueError, match="a resonant H is real"):
+            nonlocality_matrix(cspec, cls)
 
 
 class GatheredClassifier:
@@ -86,16 +92,12 @@ class GatheredClassifier:
 
 
 @pytest.mark.parametrize("rows", [Q_BLOCK_ROWS, 21], ids=["default-rows", "half-dim-blocks"])
-@pytest.mark.parametrize("vectors", ["real", "complex"])
 @pytest.mark.parametrize("kind", ["truncated", "random"])
-def test_resonant_blocks_and_q_are_the_gathered_ones_bit_for_bit(monkeypatch, kind, vectors, rows):
-    """One gather of V_b per block, times conj(V_a) per state run, gives the
+def test_resonant_blocks_and_q_are_the_gathered_ones_bit_for_bit(monkeypatch, kind, rows):
+    """One gather of V_b per block, times V_a per state run, gives the
     blocks and the Q of two gathers and a scale pass, bit for bit; the
     blocks cut the runs of one state apart."""
     block, spec = resonant_spectrum(10, kind)
-    if vectors == "complex":
-        phases = np.exp(1j * np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, spec.dim))
-        spec = linalg.Spectrum(spec.energies, spec.vectors * phases)
     monkeypatch.setattr(engine, "Q_BLOCK_ROWS", rows)
     straddled = False
     for threshold in (0, 2, 4):
@@ -125,24 +127,19 @@ def assert_all_full_but_the_last(heights, rows):
 
 def test_blocks_hold_q_block_rows_but_the_last():
     """At default settings every block holds Q_BLOCK_ROWS rows but the last:
-    the resonant gathers of real and of complex eigenvectors, whose
-    imaginary rows follow each gather's real ones, and the SYK monomials."""
+    the resonant gathers and the SYK monomials, whose packing carries on
+    across the parity-flipping masks that yield no rows."""
     block, spec = resonant_spectrum(12, "random")
-    phases = np.exp(1j * np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, spec.dim))
-    cspec = linalg.Spectrum(spec.energies, spec.vectors * phases)
     cls = resonant.ResonantClassifier(block, 4)
     pairs = np.count_nonzero(np.triu(resonant.locality_table(block) <= 4))  # a <= b
     assert pairs > 6 * Q_BLOCK_ROWS
     real = block_heights(cls.local_diagonals(spec))
     assert_all_full_but_the_last(real, Q_BLOCK_ROWS)
     assert sum(real) == pairs
-    both = block_heights(cls.local_diagonals(cspec))
-    assert both[::2] == real
-    assert sum(both[1::2]) == pairs - spec.dim  # one imaginary row per pair a < b
-    rep, sspec = chaotic4_spectrum(10)
+    rep, sspec = chaotic4_spectrum(12)  # 561 kept rows; at n = 10, 255 fill one block
     monomials = block_heights(syk.MonomialClassifier(rep, 4).local_diagonals(sspec))
     assert_all_full_but_the_last(monomials, Q_BLOCK_ROWS)
-    assert sum(monomials) == len(local_subsets(rep, 4))
+    assert sum(monomials) == len(kept_subsets(rep, 4, sspec.blocks)) < len(local_subsets(rep, 4))
 
 
 def test_resonant_blocks_respect_the_budget(monkeypatch):
@@ -272,7 +269,7 @@ def test_syk_blocks_respect_the_budget(monkeypatch):
         monkeypatch.setattr(engine, "Q_BLOCK_ROWS", rows)
         heights = block_heights(cls.local_diagonals(spec))
         assert_all_full_but_the_last(heights, rows)
-        assert sum(heights) == len(local_subsets(rep, 4))
+        assert sum(heights) == len(kept_subsets(rep, 4, spec.blocks))
         q = nonlocality_matrix(spec, cls)
         assert np.array_equal(q.entries, q.entries.T)
         assert np.abs(q.entries - whole.entries).max() < 1e-12

@@ -30,8 +30,10 @@ from oracles import (
     dense_integrable_syk,
     dense_majoranas,
     dense_monomial,
+    kept_subsets,
     local_subsets,
     string_matrix,
+    x_mask,
 )
 
 
@@ -320,15 +322,17 @@ def test_monomial_orthonormality():
 
 
 def test_classifier_counts_and_shape(rep8):
+    """Free SYK conserves parity, so the 8 weight-1 monomials, which flip it,
+    yield no rows; the 28 of weight 2 do."""
     cls = MonomialClassifier(rep8, 2)
-    subsets = local_subsets(rep8, 2)
-    assert len(subsets) == 8 + 28  # weights 1 and 2, identity excluded
+    assert len(local_subsets(rep8, 2)) == 8 + 28  # weights 1 and 2, identity excluded
     spec = eigendecompose(free_syk(rep8, sample_quadratic_couplings(8, np.random.default_rng(0))))
+    subsets = kept_subsets(rep8, 2, spec.blocks)
     blocks = list(cls.local_diagonals(spec))
     for z in blocks:
         assert z.dtype == np.float64 and z.ndim == 2 and z.shape[1] == rep8.dim
     rows = np.vstack(blocks)
-    assert rows.shape == (36, rep8.dim)
+    assert rows.shape == (28, rep8.dim)
     v = spec.vectors
     psis = dense_majoranas(8)
     for r, subset in zip(rows, subsets):
@@ -338,9 +342,10 @@ def test_classifier_counts_and_shape(rep8):
 
 def test_parity_blocks_and_their_diagonals(rep8):
     """free, integrable and chaotic4 conserve fermion parity, so each H is
-    two D/2 blocks (even and odd popcount states); every monomial diagonal
-    matches the dense product, and those of odd weight, which flip parity,
-    are exact zeros.  chaotic3 couples the parities and stays one block."""
+    two D/2 blocks (even and odd popcount states); the monomials of odd
+    weight, which flip parity, yield no rows, and every other diagonal
+    matches the dense product.  chaotic3 couples the parities and stays one
+    block."""
     rng = np.random.default_rng(23)
     j2 = sample_quadratic_couplings(8, rng)
     omegas, frame = antisymmetric_canonical_form(j2)
@@ -350,7 +355,6 @@ def test_parity_blocks_and_their_diagonals(rep8):
         "chaotic4": chaotic_syk(rep8, j2, sample_many_body_couplings(8, 4, rng), 1.0, body=4),
         "chaotic3": chaotic_syk(rep8, j2, sample_many_body_couplings(8, 3, rng), 1.0, body=3),
     }
-    subsets = local_subsets(rep8, 4)
     psis = dense_majoranas(8)
     parity = np.bitwise_count(np.arange(rep8.dim)) % 2
     for name, h in models.items():
@@ -359,21 +363,22 @@ def test_parity_blocks_and_their_diagonals(rep8):
             assert not spec.blocks.any()
             continue
         assert np.array_equal(spec.blocks, parity), name
+        subsets = kept_subsets(rep8, 4, spec.blocks)
+        assert len(local_subsets(rep8, 4)) == 162 and len(subsets) == 98
+        assert not any(len(subset) % 2 for subset in subsets)
         rows = np.vstack(list(MonomialClassifier(rep8, 4).local_diagonals(spec)))
         assert rows.shape == (len(subsets), rep8.dim)
         v = spec.vectors
         for r, subset in zip(rows, subsets):
             expect = np.einsum("in,in->n", v.conj(), dense_monomial(psis, subset) @ v)
             assert np.abs(r - expect).max() < 1e-14, (name, subset)
-            if len(subset) % 2:
-                assert np.all(r == 0.0), (name, subset)
 
 
 def test_classifier_skips_only_masks_that_leave_every_block():
     """With blocks {0, 1, 2, 7} and {3, 4, 5, 6} of the D = 8 states, x = 4
     moves every state to the other block, and x = 1 keeps 0 and 1 together
-    but moves 2 and 3 apart; only masks like the first have zero rows
-    without a product, and every row matches the dense product."""
+    but moves 2 and 3 apart; only masks like the first yield no rows, and
+    every row matches the dense product."""
     rep = build_clifford(6)
     lab = np.array([0, 0, 0, 1, 1, 1, 1, 0])
     rng = np.random.default_rng(31)
@@ -383,15 +388,17 @@ def test_classifier_skips_only_masks_that_leave_every_block():
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         v[np.ix_(rows, rows)] = np.linalg.qr(a)[0]
     spec = Spectrum(np.arange(8.0), v, lab)
-    subsets = local_subsets(rep, 6)
+    subsets = kept_subsets(rep, 6, lab)
     rows = np.vstack(list(MonomialClassifier(rep, 6).local_diagonals(spec)))
+    assert rows.shape == (len(subsets), 8)
     psis = dense_majoranas(6)
     for r, subset in zip(rows, subsets):
         expect = np.einsum("in,in->n", v.conj(), dense_monomial(psis, subset) @ v)
         assert np.abs(r - expect).max() < 1e-14, subset
-    flips = {s: np.bitwise_xor.reduce(rep.x[list(s)]) for s in subsets}
-    assert all(np.all(r == 0.0) for r, s in zip(rows, subsets) if flips[s] == 4)
-    assert any(np.abs(r).max() > 0.1 for r, s in zip(rows, subsets) if flips[s] == 1)
+    flips = [x_mask(rep, s) for s in subsets]
+    assert 4 not in flips
+    assert any(np.abs(r).max() > 0.1 for r, f in zip(rows, flips) if f == 1)
+    assert any(x_mask(rep, s) == 4 for s in local_subsets(rep, 6))
 
 
 def test_classifier_threshold_bounds(rep8):
