@@ -23,17 +23,17 @@ from typing import Iterable, Protocol, Sequence
 import numpy as np
 
 from .lattice import DEFAULT_CHAIN, SolverChain, TriangularLattice, round_half_away
-from .linalg import Spectrum, numpy_blas_kernel
+from . import linalg
+from .linalg import HermitianMatrix, Spectrum, numpy_blas_kernel
 
 TWO_PI = 2.0 * np.pi
 Q_EIGENVALUE_TOL = 1e-9
 AUDIT_TOL = 1e-8
-IMAG_TOL = 1e-8
 # the special-unitary restriction's nu, per unit of mu
 SU_NU_FACTOR = 1e3
 # rows of every block of local diagonals but the last: dsyrk's cost per row
 # levels off from 256 rows up (2 cores, dim = 5604: 573 us a row at 32 rows,
-# 296-461 us from 256 up); also the height of the panels that mirror and check Q
+# 296-461 us from 256 up)
 Q_BLOCK_ROWS = 256
 
 
@@ -57,43 +57,25 @@ _DSYRK = numpy_blas_kernel(
 )
 
 
-def real_block(z: np.ndarray) -> np.ndarray:
-    """The real part of a block of diagonals of Hermitian operators, after
-    checking that its imaginary part is roundoff."""
-    if not np.iscomplexobj(z):
-        return z
-    imag = float(np.abs(z.imag).max()) if z.size else 0.0
-    if imag > IMAG_TOL:
-        raise ArithmeticError(
-            f"local operator diagonals have imaginary part {imag:.3e}; "
-            "the local operators are not Hermitian"
-        )
-    return np.ascontiguousarray(z.real)
-
-
 @dataclass(frozen=True)
 class NonlocalityMatrix:
     """Q_nm = delta_nm - sum over an orthonormal set of Hermitian local T of
-    <n|T|n><m|T|m>.  Real symmetric, eigenvalues in [0, 1]; a null
-    eigenvector is a conserved quantity built from local operators."""
+    <n|T|n><m|T|m>.  Checked at construction: finite, real symmetric, and
+    with its eigvalsh eigenvalues in [0, 1].  A null eigenvector is a
+    conserved quantity built from local operators."""
 
     entries: np.ndarray
-    eigenvalues: np.ndarray
+    eigenvalues: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("expected a square matrix")
-        # by row panels, so no temporary is larger than a panel
-        k = Q_BLOCK_ROWS
-        dev = max(np.abs(m[r : r + k] - m[:, r : r + k].T).max() for r in range(0, m.shape[0], k))
-        if dev > 1e-12 * max(1.0, m.max(), -m.min()):
-            raise ValueError(f"matrix not symmetric, deviation {dev:.3e}")
-        evals = np.array(self.eigenvalues, dtype=float)
-        if evals.shape != (m.shape[0],):
-            raise ValueError(f"{evals.shape} eigenvalues for a {m.shape[0]}-dim matrix")
-        for a in (m, evals):
-            a.flags.writeable = False
+        m = HermitianMatrix(np.asarray(self.entries, dtype=float)).entries
+        evals = np.linalg.eigvalsh(m)
+        if evals[0] < -Q_EIGENVALUE_TOL or evals[-1] > 1.0 + Q_EIGENVALUE_TOL:
+            raise ArithmeticError(
+                f"eigenvalues [{evals[0]:.3e}, {evals[-1]:.3e}] outside [0, 1]; "
+                "local operator set is probably not orthonormal"
+            )
+        evals.flags.writeable = False
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "eigenvalues", evals)
 
@@ -119,27 +101,22 @@ def nonlocality_matrix(spectrum: Spectrum, classifier: LocalityClassifier) -> No
     d = spectrum.dim
     q = np.eye(d)
     for z in classifier.local_diagonals(spectrum):
-        z = np.ascontiguousarray(real_block(np.asarray(z)), dtype=np.float64)
-        if z.ndim != 2 or z.shape[1] != d:
+        z = np.asarray(z)
+        if np.iscomplexobj(z) or z.ndim != 2 or z.shape[1] != d:
             raise ValueError(
-                f"classifier yielded a block of shape {z.shape} for dim {d}; "
-                "expected 2-D blocks of width dim"
+                f"classifier yielded a {z.dtype} block of shape {z.shape} for dim {d}; "
+                "expected real 2-D blocks of width dim"
             )
+        z = np.ascontiguousarray(z, dtype=np.float64)
         if _DSYRK is None:
             q -= z.T @ z
         else:  # row-major (101), upper (121), transposed (112): q = -z^T z + q
             _DSYRK(101, 121, 112, d, z.shape[0], -1.0, z.ctypes.data, d, 1.0, q.ctypes.data, d)
         del z  # release the block before the next one is built
-    for r in range(0, d, Q_BLOCK_ROWS):  # the lower triangle from the upper
-        s = min(r + Q_BLOCK_ROWS, d)
+    for r in range(0, d, linalg.PANEL_ROWS):  # the lower triangle from the upper
+        s = min(r + linalg.PANEL_ROWS, d)
         np.copyto(q[r:s, :s], q[:s, r:s].T, where=np.tri(s - r, s, r - 1, dtype=bool))
-    evals = np.linalg.eigvalsh(q)
-    if evals[0] < -Q_EIGENVALUE_TOL or evals[-1] > 1.0 + Q_EIGENVALUE_TOL:
-        raise ArithmeticError(
-            f"eigenvalues [{evals[0]:.3e}, {evals[-1]:.3e}] outside [0, 1]; "
-            "local operator set is probably not orthonormal"
-        )
-    return NonlocalityMatrix(q, evals)
+    return NonlocalityMatrix(q)
 
 
 @dataclass(frozen=True)

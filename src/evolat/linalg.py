@@ -62,16 +62,22 @@ def _float_dtype(a: np.ndarray):
 
 def _hermiticity(m: np.ndarray) -> tuple:
     """max |m - m^dagger| and max(max |m|, 1) of a square float64 or
-    complex128 m, through one temporary of m's size (plus the modulus's for
-    complex m).  Refuses a non-finite m before it subtracts, as NaN would
-    pass any tolerance."""
-    work = np.empty_like(m)  # |m|, then m - m^dagger, then its modulus
-    scale = np.maximum(np.abs(m, out=work.real).max(), 1.0)  # NaN stays NaN
+    complex128 m, PANEL_ROWS rows at a time, so no temporary is larger than
+    a panel.  Refuses a non-finite m before it subtracts, as NaN would pass
+    any tolerance."""
+    panels = range(0, m.shape[0], PANEL_ROWS)
+    scale = np.max([1.0] + [np.abs(m[r : r + PANEL_ROWS]).max() for r in panels])  # NaN stays NaN
     if not np.isfinite(scale):
         raise ValueError(f"matrix has a non-finite entry: max |H| = {scale}")
-    np.subtract(m, np.conjugate(m.T, out=work), out=work)
-    dev = (np.abs(work) if np.iscomplexobj(work) else np.abs(work, out=work)).max()
-    return dev, scale
+    return np.max([_panel_deviation(m, r) for r in panels]), scale
+
+
+def _panel_deviation(m: np.ndarray, r: int) -> float:
+    """max |m - m^dagger| over rows r:r+PANEL_ROWS, through one panel (plus
+    the modulus's for complex m)."""
+    work = m[:, r : r + PANEL_ROWS].T.copy()  # a ufunc would buffer the strided read
+    np.subtract(m[r : r + PANEL_ROWS], np.conjugate(work, out=work), out=work)
+    return (np.abs(work) if np.iscomplexobj(work) else np.abs(work, out=work)).max()
 
 
 @dataclass(frozen=True)
@@ -81,12 +87,14 @@ class HermitianMatrix:
 
     Real input is kept as float64 (a real symmetric matrix), complex input
     as complex128, so a real Hamiltonian is diagonalized in real arithmetic.
+    A float64 or complex128 array is kept as it is handed, not copied, and
+    made read-only.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries)
+        m = np.asarray(self.entries)
         m = m.astype(_float_dtype(m), copy=False)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")

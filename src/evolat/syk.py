@@ -24,6 +24,7 @@ from .linalg import HermitianMatrix, Spectrum
 # Refuse, before allocating it, a dense Hamiltonian whose build and eigh
 # working set (about eight complex D x D arrays) would exceed this.
 DENSE_BYTES_LIMIT = 4 * 2**30
+_IMAG_TOL = 1e-8  # an imaginary part of a diagonal up to this is roundoff
 
 
 @dataclass(frozen=True)
@@ -249,6 +250,18 @@ def sample_many_body_couplings(n: int, body: int, rng: np.random.Generator) -> n
     return rng.normal(0.0, np.sqrt(var), size=math.comb(n, body))
 
 
+def _real_block(z: np.ndarray) -> np.ndarray:
+    """The real part of a block of diagonals of Hermitian operators, after
+    checking that its imaginary part is roundoff."""
+    imag = float(np.abs(z.imag).max())
+    if imag > _IMAG_TOL:
+        raise ArithmeticError(
+            f"local operator diagonals have imaginary part {imag:.3e}; "
+            "the local operators are not Hermitian"
+        )
+    return z.real
+
+
 def monomial_strings(rep: CliffordRep, modes: np.ndarray) -> tuple:
     """Normalized Hermitian monomials T = h_w 2^(w/2 - n/4) psi_i1 ... psi_iw,
     Tr[T_a T_b] = delta_ab, h_w = i when w(w-1)/2 is odd, as (x, z, c) with
@@ -314,7 +327,7 @@ class MonomialClassifier:
                 part, group = group[: rows - fill], group[rows - fill:]
                 # (d, 2d) reals: one real product gives both parts
                 diag = (_signs(z[part], j) @ a.view(np.float64)).view(np.complex128)
-                block[fill : fill + part.size] = engine.real_block(c[part, None] * diag)
+                block[fill : fill + part.size] = _real_block(c[part, None] * diag)
                 fill += part.size
                 if fill == rows:
                     yield block

@@ -103,7 +103,7 @@ def featureless_projector(energies: np.ndarray) -> engine.NonlocalityMatrix:
     span, _ = np.linalg.qr(cols)
     q = np.eye(energies.size) - span @ span.T
     q = 0.5 * (q + q.T)
-    return engine.NonlocalityMatrix(q, np.linalg.eigvalsh(q))
+    return engine.NonlocalityMatrix(q)
 
 
 TIMES_LATE = np.linspace(20000.0, 24000.0, 41)

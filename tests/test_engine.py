@@ -41,7 +41,7 @@ def projector_q(energies):
     ev = energies - (energies @ ones) * ones
     ev = ev / np.linalg.norm(ev)
     q = np.eye(d) - np.outer(ones, ones) - np.outer(ev, ev)
-    return NonlocalityMatrix(entries=q, eigenvalues=np.linalg.eigvalsh(q))
+    return NonlocalityMatrix(q)
 
 
 def random_normalized(rng, d):
@@ -51,10 +51,36 @@ def random_normalized(rng, d):
 
 def test_nonlocality_matrix_rejects_asymmetric():
     with pytest.raises(ValueError):
-        NonlocalityMatrix(
-            entries=np.array([[0.0, 1.0], [0.0, 0.0]]),
-            eigenvalues=np.array([0.0, 0.0]),
-        )
+        NonlocalityMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("q", [-2.0 * np.eye(3), np.diag([0.0, 1.0, 1.0 + 1e-6])],
+                         ids=["minus-two", "above-one"])
+def test_nonlocality_matrix_refuses_a_spectrum_outside_zero_one(q):
+    """Q's [0, 1] law is the type's own: a hand-built Q outside it is
+    refused, not only one that nonlocality_matrix builds."""
+    with pytest.raises(ArithmeticError, match=r"outside \[0, 1\]"):
+        NonlocalityMatrix(q)
+
+
+def test_nonlocality_matrix_refuses_a_non_finite_entry():
+    """NaN compares false in the symmetry and range checks alike; Q is
+    refused as a HermitianMatrix is, before either."""
+    q = np.eye(3)
+    q[0, 1] = q[1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite entry"):
+        NonlocalityMatrix(q)
+    spec = Spectrum(np.array([-0.5, 0.0, 0.5]), np.eye(3))
+    with pytest.raises(ValueError, match="non-finite entry"):
+        nonlocality_matrix(spec, ArrayClassifier([[np.nan, 0.0, 0.0]]))
+
+
+def test_nonlocality_matrix_refuses_an_operator_counted_twice():
+    """A classifier that yields the same unit row twice subtracts its
+    projector twice: Q gets the eigenvalue -1."""
+    spec = Spectrum(np.array([-0.5, 0.0, 0.5]), np.eye(3))
+    with pytest.raises(ArithmeticError, match=r"outside \[0, 1\]"):
+        nonlocality_matrix(spec, ArrayClassifier([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
 
 
 def test_nonlocality_matrix_from_single_direction():
@@ -132,9 +158,8 @@ def test_embedding_map_squares_to_metric():
 
 
 def test_pipeline_rejects_indefinite_metric():
-    q = NonlocalityMatrix(-2.0 * np.eye(3), [-2.0, -2.0, -2.0])
     with pytest.raises(ArithmeticError, match="positive definite"):
-        ComplexityPipeline(np.array([-0.5, 0.1, 0.4]), ComplexityMetric(mu=2.0, q=q).matrix(3))
+        ComplexityPipeline(np.array([-0.5, 0.1, 0.4]), -np.eye(3))
 
 
 @pytest.mark.parametrize("chain", ["babai+greedy", "lll+babai+greedy"])
@@ -172,11 +197,14 @@ def test_pipeline_lattice_is_the_cholesky_factor(monkeypatch):
 
 
 def test_nonlocality_matrix_stores_read_only_eigenvalues():
-    q = NonlocalityMatrix(np.eye(2), [0.0, 1.0])
+    """The eigenvalues are Q's own, np.linalg.eigvalsh's bit for bit, and
+    no constructor argument: Q alone is handed in."""
+    q = NonlocalityMatrix(np.eye(3))
     assert isinstance(q.eigenvalues, np.ndarray) and q.eigenvalues.dtype == np.float64
+    assert np.array_equal(q.eigenvalues, np.linalg.eigvalsh(np.eye(3)))
     assert not q.eigenvalues.flags.writeable
-    with pytest.raises(ValueError, match="eigenvalues"):
-        NonlocalityMatrix(np.eye(2), [0.0, 1.0, 1.0])
+    with pytest.raises(TypeError):
+        NonlocalityMatrix(np.eye(2), [1.0, 1.0])
 
 
 def test_bi_invariant_matches_direct_wrap():

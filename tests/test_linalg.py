@@ -23,6 +23,10 @@ from test_nonlocality_stream import bundles_ilp64_openblas, traced_peak
 def test_hermitian_matrix_rejects_asymmetric():
     with pytest.raises(ValueError):
         HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    m = np.eye(PANEL_ROWS + 44)
+    m[-1, -2] = 1e-6  # both indices in the last panel
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HermitianMatrix(m)
 
 
 def test_hermitian_matrix_rejects_nonsquare():
@@ -39,10 +43,13 @@ def test_hermitian_matrix_refuses_a_non_finite_entry(dtype, bad, where):
     Hermiticity tolerance; both are refused before it, without a warning."""
     m = np.eye(4, dtype=dtype)
     m[where] = m[where[::-1]] = bad
+    last = np.eye(PANEL_ROWS + 4, dtype=dtype)  # the entry in the last panel
+    last[-1, -1] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="non-finite entry"):
-            HermitianMatrix(m)
+        for a in (m, last):
+            with pytest.raises(ValueError, match="non-finite entry"):
+                HermitianMatrix(a)
     if dtype is np.complex128:
         m = np.eye(4, dtype=dtype)
         m[where] = m[where[::-1]] = complex(0.0, bad)
@@ -56,6 +63,25 @@ def test_hermitian_matrix_is_read_only():
         m.entries[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_hermitian_matrix_keeps_the_array_it_is_handed(monkeypatch, dtype):
+    """A float64 or complex128 H is kept as it is, not copied, and made
+    read-only, and its check holds no D x D array: under 16-row panels the
+    H stage adds less than a tenth of H.  Other dtypes are converted, and
+    the array handed in is left as it was."""
+    d = 320
+    monkeypatch.setattr(linalg, "PANEL_ROWS", 16)
+    h = random_hermitian(d, dtype).entries.copy()
+    kept = []
+    peak = traced_peak(lambda: kept.append(HermitianMatrix(h)))
+    assert np.shares_memory(kept[0].entries, h) and not h.flags.writeable
+    assert peak < 0.1 * h.nbytes
+    ints = np.eye(3, dtype=np.int64)
+    m = HermitianMatrix(ints)
+    assert m.entries.dtype == np.float64 and not np.shares_memory(m.entries, ints)
+    assert ints.flags.writeable
+
+
 def test_hermitian_tolerance_scales_with_entries():
     # a 1e-13 asymmetry on order-1e4 entries is within the relative tolerance
     big = np.full((2, 2), 1.0e4)
@@ -65,10 +91,10 @@ def test_hermitian_tolerance_scales_with_entries():
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_hermiticity_check_is_the_two_temporary_one_bit_for_bit(dtype):
-    """One work buffer gives the deviation and scale of
-    |m - m^dagger|.max() and max(|m|.max(), 1) to the bit."""
+    """Row panels give the deviation and scale of |m - m^dagger|.max() and
+    max(|m|.max(), 1) to the bit, also over more than one panel."""
     rng = np.random.default_rng(8)
-    for d, size in ((1, 1.0), (7, 1e-3), (40, 1.0), (40, 3e5)):
+    for d, size in ((1, 1.0), (7, 1e-3), (40, 1.0), (40, 3e5), (PANEL_ROWS + 44, 1.0)):
         a = size * rng.standard_normal((d, d))
         if dtype is np.complex128:
             a = a + 1j * size * rng.standard_normal((d, d))

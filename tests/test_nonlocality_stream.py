@@ -352,18 +352,20 @@ def test_dsyrk_q_holds_no_second_dense_array(monkeypatch):
     """On the dsyrk path Q is the only dim x dim array: the peak is Q and
     one block, plus two panels of the mirror or the symmetry check."""
     d, rows, panel = 600, 100, 64
-    monkeypatch.setattr(engine, "Q_BLOCK_ROWS", panel)
+    monkeypatch.setattr(linalg, "PANEL_ROWS", panel)
     spec = linalg.Spectrum(np.linspace(-0.5, 0.5, d), np.eye(d))
     peak = traced_peak(lambda: nonlocality_matrix(spec, FreshBlocks(rows, 5)))
     assert peak < d * d * 8 + rows * d * 8 + 2 * panel * d * 8
 
 
-def test_complex_block_above_tolerance_raises():
+def test_complex_block_is_refused():
+    """The protocol's blocks are real: a complex block is refused, even one
+    whose imaginary part is zero, not converted."""
     spec = linalg.Spectrum(np.array([-0.5, 0.5]), np.eye(2))
     row = np.array([[1.0, 0.0]])
-    nonlocality_matrix(spec, BlockClassifier(row + 1e-10j))  # roundoff is dropped
-    with pytest.raises(ArithmeticError, match="imaginary"):
-        nonlocality_matrix(spec, BlockClassifier(row, row * 0.0 + 1e-6j))
+    for block in (row + 0j, row + 1e-10j, row * 0.0 + 1e-6j):
+        with pytest.raises(ValueError, match="real 2-D blocks"):
+            nonlocality_matrix(spec, BlockClassifier(row, block))
 
 
 def test_syk_non_hermitian_monomials_raise(monkeypatch):
