@@ -188,6 +188,9 @@ def _build_resonant(mc: dict) -> Model:
         block = resonant.enumerate_block(n, m)
     except ValueError as exc:
         raise SystemExit(f"resonant block: {exc}") from None
+    if block.dim < 2:
+        raise SystemExit(f"resonant block ({n},{m}) holds D = {block.dim} state; "
+                         "a model needs at least 2")
     return Model(f"resonant-{kind}-{n}-{m}", block.dim,
                  partial(resonant.build_block_hamiltonian, block, scheme),
                  lambda k: resonant.ResonantClassifier(block, k),
@@ -419,7 +422,10 @@ def cmd_qspec(cfg: dict, outdir: Path) -> int:
 
 def cmd_stats(cfg: dict, outdir: Path) -> int:
     model = _build_model(cfg)
-    spacings = spectral.unfold(_spectrum(model)[0])
+    try:
+        spacings = spectral.unfold(_spectrum(model)[0])
+    except ValueError as exc:
+        raise SystemExit(f"stats: {exc}") from None
     h = _config_hash(cfg)
     linalg.atomic_write(
         outdir / "spacings.csv",
@@ -476,6 +482,8 @@ def cmd_cvp(cfg: dict, outdir: Path) -> int:
     try:
         basis = np.array(cfg["basis"], dtype=float).T
         target = np.array(cfg["target"], dtype=float)
+        if target.ndim != 1:
+            raise ValueError(f"target must be one flat list, got shape {target.shape}")
         instance = lattice.TriangularLattice.from_columns(basis, target)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise SystemExit(f"cvp instance: {exc}") from None

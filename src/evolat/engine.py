@@ -196,7 +196,6 @@ class ComplexityTrace:
 
 @dataclass(frozen=True)
 class PlateauStats:
-    window: tuple
     mean: float
     variance: float
     count: int
@@ -278,7 +277,7 @@ def plateau_window(times: np.ndarray, window: tuple) -> np.ndarray:
 def plateau_stats(trace: ComplexityTrace, window: tuple) -> PlateauStats:
     """Mean and unbiased variance of a trace inside a plateau_window."""
     vs = trace.values[plateau_window(trace.times, window)]
-    return PlateauStats(tuple(window), float(vs.mean()), float(vs.var(ddof=1)), int(vs.size))
+    return PlateauStats(float(vs.mean()), float(vs.var(ddof=1)), int(vs.size))
 
 
 @dataclass(frozen=True)

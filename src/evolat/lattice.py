@@ -12,7 +12,7 @@ by column operations and 2x2 reflections, and rotates the target along.
 The solvers form a quality ladder: naive coefficient rounding, the Babai
 nearest-plane walk, both optionally preceded by LLL reduction, a greedy
 coordinate descent refinement, and exact Schnorr-Euchner enumeration.
-Babai and greedy take one target or a stack; enumeration takes one.  A
+Babai and greedy take one target or a stack, LLL and enumeration one.  A
 SolverChain names a heuristic chain and is the one code that runs it.
 
 Rounding convention: ties at half-integers round away from zero.
@@ -180,7 +180,8 @@ def lll_reduce_with_transform(lattice: TriangularLattice, delta: float = LLL_DEL
     size-reduction step that could carry an entry of U out of int64 raises
     ArithmeticError instead of wrapping.  The distance of any k under the
     reduced lattice is the distance of U @ k under the input.  Raises
-    IterationCapError after 10 * dim**2 swaps.
+    IterationCapError after 10 * dim**2 swaps, and ValueError on a stack of
+    targets.
 
     The result is the one-position-at-a-time loop's, bit for bit; only tests
     whose answer is known are skipped.  A position -> column list reaches the
@@ -198,24 +199,22 @@ def lll_reduce_with_transform(lattice: TriangularLattice, delta: float = LLL_DEL
     """
     if not (0.25 < delta <= 1.0):
         raise ValueError(f"delta must lie in (1/4, 1], got {delta}")
+    if lattice.target.ndim != 1:
+        raise ValueError(f"LLL carries one target, got a stack of shape {lattice.target.shape}")
     d = lattice.dim
-    # the targets ride along as extra columns, so each reflection rotates them too
-    aug = np.empty((d, d + lattice.target.size // d))
-    aug[:, :d] = lattice.r
-    aug[:, d:] = lattice.target.reshape(-1, d).T
+    # the target rides along as a last column, so each reflection rotates it too
+    aug = np.column_stack((lattice.r, lattice.target))
     u, col = _lll_in_place(aug, d, delta)
     # take on the whole of aug copies r's columns once and row-major
-    reduced = TriangularLattice(np.take(aug, col, axis=1),
-                                aug[:, d:].T.reshape(lattice.target.shape))
+    reduced = TriangularLattice(np.take(aug, col, axis=1), aug[:, d])
     return reduced, np.asfortranarray(u[:, col])
 
 
 def _lll_in_place(aug: np.ndarray, d: int, delta: float):
-    """lll_reduce_with_transform's loop on the row-major [r | targets], in
+    """lll_reduce_with_transform's loop on the row-major [r | target], in
     place; returns (U, col), col[p] being the column of r and U at position
     p.  Its temporaries die on return, before the caller's D x D copies."""
     r = aug[:, :d]
-    lone = aug.shape[1] == d + 1  # one target
     buf = np.empty((2, aug.shape[1]))
     diag = r.diagonal().copy()  # by position
     mark = np.zeros(d, dtype=np.intp)  # by column
@@ -297,8 +296,8 @@ def _lll_in_place(aug: np.ndarray, d: int, delta: float):
         for p, h in zip(range(hi, k, -1), run):
             rows = aug[p - 1 : p + 1]
             # numpy's matrix-vector product rounds otherwise than its
-            # matrix product: a lone target column beyond p keeps it
-            narrow = h @ rows[:, d:] if lone and p == d - 1 else None
+            # matrix product: the target, the one column beyond p, keeps it
+            narrow = h @ rows[:, d:] if p == d - 1 else None
             np.dot(h, rows, out=buf)
             rows[...] = buf
             if narrow is not None:

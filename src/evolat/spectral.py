@@ -99,11 +99,11 @@ def ks_distance(spacings: UnfoldedSpacings, reference) -> float:
     the two-sided Kolmogorov-Smirnov statistic: over the sorted spacings
     x_1..x_n, the largest of i/n - F(x_i) and F(x_i) - (i-1)/n.
 
-    reference is "wigner", "poisson", or any vectorized CDF callable.
+    reference is "wigner" or "poisson".
     """
-    cdf = _REFERENCES.get(reference, reference)
-    if not callable(cdf):
-        raise ValueError(f"unknown reference {reference!r}")
+    cdf = _REFERENCES.get(reference)
+    if cdf is None:
+        raise ValueError(f"unknown reference {reference!r}; use 'wigner' or 'poisson'")
     x = np.sort(spacings.values)
     f = np.asarray(cdf(x), dtype=float)
     n = x.size

@@ -163,10 +163,14 @@ def test_missing_model_key_is_named_before_any_array(tmp_path, monkeypatch, mode
      "syk epsilon must be finite, got nan"),
     ({"family": "syk", "variant": "integrable", "n_modes": 8, "epsilon": float("inf")},
      "syk epsilon must be finite, got inf"),
+    ({"family": "resonant", "kind": "truncated", "n_particles": 1, "total_level": 5},
+     r"resonant block \(1,5\) holds D = 1 state; a model needs at least 2"),
+    ({"family": "resonant", "kind": "random", "n_particles": 3, "total_level": 1, "seed": 2},
+     r"resonant block \(3,1\) holds D = 1 state; a model needs at least 2"),
 ], ids=["count-not-a-number", "negative-count", "block-over-guard", "odd-modes",
         "modes-over-dense-limit", "fractional-dim", "dim-1", "negative-seed", "epsilon-not-a-number",
         "modes-not-a-number", "alpha-null", "alpha-nan", "delta-coeff-inf", "epsilon-nan",
-        "epsilon-inf"])
+        "epsilon-inf", "one-particle-block", "level-one-block"])
 def test_bad_model_value_refused_with_a_message(tmp_path, model, message):
     # bound reads n_modes for the threshold range before it builds the model
     for command in ("gen", "bound"):
@@ -581,6 +585,17 @@ def test_qspec_rejects_featureless_model(tmp_path):
 
 # ---------------------------------------------------------------- stats
 
+@pytest.mark.parametrize("model, message", [
+    ({"family": "resonant", "kind": "truncated", "n_particles": 5, "total_level": 5},
+     "7 levels cannot support a window of half-width 3; need at least 8"),
+    ({"family": "synthetic", "kind": "uniform", "dim": 3, "seed": 1},
+     "3 levels cannot support a window of half-width 2; need at least 6"),
+], ids=["resonant-5-5", "synthetic-dim-3"])
+def test_stats_refuses_too_few_levels_with_a_message(tmp_path, model, message):
+    with pytest.raises(SystemExit, match=f"^stats: {message}$"):
+        run(tmp_path, "stats", {"model": model}, "stats_short")
+
+
 def test_stats_uniform_spectrum_is_poissonian(tmp_path):
     cfg = {"model": {"family": "synthetic", "kind": "uniform", "dim": 150, "seed": 7}}
     out = run(tmp_path, "stats", cfg, "stats_u")
@@ -705,8 +720,12 @@ def test_cvp_requires_instance_fields(tmp_path):
     ("abc", [1.0, 2.0], "could not convert string to float"),
     ([[float("nan"), 0.0], [0.0, 1.0]], [1.0, 2.0], "basis has a non-finite entry"),
     ([[1.0, 0.0], [0.0, 1.0]], [float("inf"), 2.0], "target has a non-finite entry"),
+    ([[1.0, 0.0], [0.0, 1.0]], [[0.2, 0.7], [1.4, -0.3]],
+     r"target must be one flat list, got shape \(2, 2\)"),
+    ([[1.0, 0.0], [0.0, 1.0]], [[0.2, 0.7], [1.4, -0.3], [1.0, 1.0]],
+     r"target must be one flat list, got shape \(3, 2\)"),
 ], ids=["non-square", "target-length", "rank-deficient", "not-numbers", "nan-basis",
-        "infinite-target"])
+        "infinite-target", "square-target", "stacked-target"])
 def test_cvp_refuses_a_malformed_instance_with_a_message(tmp_path, basis, target, message):
     with pytest.raises(SystemExit, match=f"^cvp instance: .*{message}"):
         run(tmp_path, "cvp", {"basis": basis, "target": target}, "cvp_bad")

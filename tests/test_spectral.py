@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from evolat import spectral
 from evolat.spectral import (
     UnfoldedSpacings,
     histogram_rows,
@@ -111,22 +117,10 @@ def test_ks_calibration_poisson():
     assert ks_distance(s, "wigner") > 0.15
 
 
-def test_ks_accepts_callable_reference():
-    rng = np.random.default_rng(10)
-    s = _as_spacings(_wigner_samples(rng, 5000))
-    named = ks_distance(s, "wigner")
-    via_callable = ks_distance(s, wigner_cdf)
-    assert named == pytest.approx(via_callable, abs=1e-12)
-
-
 def test_ks_matches_scipy_kstest_exactly():
     """The numpy statistic equals scipy's kstest bit for bit, for both named
-    references and a callable, on 200 spectra of 2 to 2000 spacings."""
+    references, on 200 spectra of 2 to 2000 spacings."""
     rng = np.random.default_rng(1994)
-
-    def half_normal_cdf(x):
-        return np.tanh(np.sqrt(np.pi / 2.0) * x)
-
     for i in range(200):
         n = int(rng.integers(2, 2001))
         if i % 3 == 0:
@@ -136,8 +130,7 @@ def test_ks_matches_scipy_kstest_exactly():
         else:
             vals = np.round(rng.uniform(0.0, 3.0, size=n), 1)  # with ties
         s = _as_spacings(vals)
-        for name, cdf in (("wigner", wigner_cdf), ("poisson", poisson_cdf),
-                          (half_normal_cdf, half_normal_cdf)):
+        for name, cdf in (("wigner", wigner_cdf), ("poisson", poisson_cdf)):
             assert ks_distance(s, name) == kstest_statistic(s.values, cdf)
 
 
@@ -146,6 +139,21 @@ def test_ks_rejects_unknown_name():
     s = _as_spacings(_wigner_samples(rng, 100))
     with pytest.raises(ValueError):
         ks_distance(s, "gaussian")
+    # a CDF is not a reference name, not even the Wigner CDF itself
+    with pytest.raises(ValueError, match="use 'wigner' or 'poisson'"):
+        ks_distance(s, wigner_cdf)
+
+
+def test_importing_spectral_loads_no_other_layer():
+    """The package re-exports nothing, so importing one module in a fresh
+    interpreter loads that module and the package alone."""
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    probe = ("import sys, evolat.spectral; "
+             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'evolat'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["evolat", "evolat.spectral"]
 
 
 def test_histogram_rows_structure():
