@@ -269,8 +269,10 @@ def _metric_settings(cfg: dict, dim: int = 1) -> tuple:
 
 def _spectrum(model: Model, thr: int | None = None) -> tuple:
     """The stage after the model in bound, plateau, qspec and stats:
-    (normalized energies, Q at threshold thr or None).  H is freed when
-    eigendecompose returns, and the eigenvectors when this does."""
+    (normalized energies, Q at threshold thr or None).  H is handed to
+    eigendecompose as a temporary, so it is freed inside, before LAPACK
+    runs (from CPython 3.11; 3.10 keeps it until the call returns), and
+    the eigenvectors are freed when this returns."""
     if model.hamiltonian is None:
         return model.energies, None
     spec = linalg.normalize_spectrum(linalg.eigendecompose(model.hamiltonian()))

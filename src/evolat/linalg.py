@@ -13,6 +13,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,13 +42,46 @@ def numpy_blas_kernel(name: str, restype, *argtypes):
     return kernel
 
 
-# LAPACKE's divide and conquer eigensolvers, resolved once; the _work forms
-# take their workspace from the caller and pass column-major (102) input
-# straight through.  None falls back to np.linalg.eigh.
-_I64, _PTR, _CHAR = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
-_EVD_ARGS = (ctypes.c_int, _CHAR, _CHAR, _I64, _PTR, _I64, _PTR) + (_PTR, _I64) * 2
-_DSYEVD = numpy_blas_kernel("scipy_LAPACKE_dsyevd_work64_", _I64, *_EVD_ARGS)
-_ZHEEVD = numpy_blas_kernel("scipy_LAPACKE_zheevd_work64_", _I64, *_EVD_ARGS, _PTR, _I64)
+class _Evd(NamedTuple):
+    """A divide and conquer eigensolver, queried for its workspace, and the
+    routines it runs: the max-norm and scaling of its rescaling branch, the
+    tridiagonal reduction, stedc and the back transformation."""
+
+    evd: object
+    lan: object
+    lascl: object
+    trd: object
+    stedc: object
+    mtr: object
+
+
+def _lapacke(prefix: str, names: str, cplx: bool) -> _Evd | None:
+    """The _work forms of LAPACKE's `names`, which take their workspace from
+    the caller and pass column-major (102) input straight through; None
+    when numpy's OpenBLAS lacks one of them."""
+    c, i, p, f = ctypes.c_char, ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    lo = ctypes.c_int  # the matrix layout
+    rwork = (p, i) if cplx else ()  # zheevd's and zstedc's real workspace
+    signatures = (  # the return type, then the arguments
+        (i, lo, c, c, i, p, i, p, p, i, *rwork, p, i),  # jobz uplo n a lda w work lwork iwork
+        (f, lo, c, c, i, p, i, p),  # norm uplo n a lda work
+        (i, lo, c, i, i, f, f, i, i, p, i),  # type kl ku cfrom cto m n a lda
+        (i, lo, c, i, p, i, p, p, p, p, i),  # uplo n a lda d e tau work lwork
+        (i, lo, c, i, p, p, p, i, p, i, *rwork, p, i),  # compz n d e z ldz work lwork iwork
+        (i, lo, c, c, c, i, i, p, i, p, p, i, p, i),  # side uplo trans m n a lda tau c ldc work lwork
+    )
+    kernels = [numpy_blas_kernel(f"scipy_LAPACKE_{prefix}{name}_work64_", *sig)
+               for name, sig in zip(names.split(), signatures)]
+    return None if None in kernels else _Evd(*kernels)
+
+
+# resolved once; None falls back to np.linalg.eigh
+_DSYEVD = _lapacke("d", "syevd lansy lascl sytrd stedc ormtr", False)
+_ZHEEVD = _lapacke("z", "heevd lanhe lascl hetrd stedc unmtr", True)
+# dsyevd's and zheevd's range for max |H|, outside which they scale H into
+# it: the square roots of safe minimum / precision (2^-1022 / 2^-52) and
+# of its inverse
+_RMIN, _RMAX = 2.0**-485, 2.0**485
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -77,6 +111,11 @@ def _panel_deviation(m: np.ndarray, r: int) -> float:
     the modulus's for complex m)."""
     work = m[:, r : r + PANEL_ROWS].T.copy()  # a ufunc would buffer the strided read
     np.subtract(m[r : r + PANEL_ROWS], np.conjugate(work, out=work), out=work)
+    return _abs_max(work)
+
+
+def _abs_max(work: np.ndarray) -> float:
+    """max |work|, taken in place for a real work, which it overwrites."""
     return (np.abs(work) if np.iscomplexobj(work) else np.abs(work, out=work)).max()
 
 
@@ -172,39 +211,64 @@ def _refuse_off_blocks(v: np.ndarray, lab: np.ndarray) -> None:
         raise ValueError("eigenvector columns are not zero off their blocks")
 
 
-def _reconstruction_deviation(h: np.ndarray, v: np.ndarray, e: np.ndarray, r: int) -> tuple:
-    """(max |V diag(e) V^dagger - H|, max |H|) over rows r:r+PANEL_ROWS; the
-    rows are conjugated, so V^dagger is read as V^T and never copied."""
-    rows = h[r : r + PANEL_ROWS]
-    dev = (v[r : r + PANEL_ROWS].conj() * e) @ v.T
-    dev -= rows.conj()
-    return np.abs(dev).max(), np.abs(rows).max()
+def _reconstruction_deviation(a: np.ndarray, diag: np.ndarray, v: np.ndarray, e: np.ndarray,
+                              r: int) -> tuple:
+    """(max |V diag(e) V^dagger - H|, max |H|) over rows r:r+PANEL_ROWS of
+    the H whose strict upper triangle a holds and whose diagonal is diag.
+    Both sides are conjugated, so V^dagger is read as V^T and never copied,
+    and H's rows left of the diagonal are read down a's columns as they
+    are."""
+    d, rows = a.shape[0], slice(r, r + PANEL_ROWS)
+    dev = (v[rows].conj() * e) @ v.T
+    h = a[:, rows].T.copy()  # conj(H) left of the diagonal; a ufunc would buffer the strided read
+    np.conjugate(a[rows], out=h, where=np.arange(d) > np.arange(d)[rows, None])
+    h.reshape(-1)[r :: d + 1] = diag[rows].conj()
+    dev -= h
+    return _abs_max(dev), _abs_max(h)
 
 
-def _lapack_eigh(kernel, h: np.ndarray) -> tuple:
-    """(energies, vectors) of a float64 or complex128 Hermitian h by dsyevd or
-    zheevd, called as np.linalg.eigh calls them: on the lower triangle of a
-    column-major copy, with the workspace that LAPACK asks for.  Both match
-    np.linalg.eigh bit for bit.  The copy becomes the eigenvectors, and the
-    workspace (2 dim^2 entries) goes before they are copied out in C order."""
-    kinds = (np.complex128, np.float64, np.int64) if np.iscomplexobj(h) else (np.float64, np.int64)
-    d = h.shape[0]
-    a = np.array(h, order="F")
-    w = np.empty(d)
+def _run(kernel, *args) -> None:
+    """Call a LAPACKE kernel on column-major arrays, passed by pointer."""
+    info = kernel(102, *(x.ctypes.data if isinstance(x, np.ndarray) else x for x in args))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{kernel.__name__} failed (info {info})")
 
-    def run(work, sizes):
-        info = kernel(102, b"V", b"L", d, a.ctypes.data, max(d, 1), w.ctypes.data,
-                      *(x for buf, n in zip(work, sizes) for x in (buf.ctypes.data, n)))
-        if info != 0:
-            raise np.linalg.LinAlgError(f"{kernel.__name__}: eigenvalues did not converge "
-                                        f"(info {info})")
 
-    query = [np.zeros(1, kind) for kind in kinds]
-    run(query, [-1] * len(kinds))  # each buffer's first entry receives its size
-    work = [np.empty(int(q[0].real), kind) for q, kind in zip(query, kinds)]
-    run(work, [buf.size for buf in work])
-    del work
-    return w, np.ascontiguousarray(a)
+def _lapack_eigh(kernels: _Evd, a: np.ndarray) -> tuple:
+    """(energies, vectors) of the Hermitian matrix whose lower triangle the
+    column-major float64 or complex128 a holds, by the stages that dsyevd
+    or zheevd run, with their rescaling and their split of the workspace
+    they ask for, so both match np.linalg.eigh, which calls dsyevd or
+    zheevd, bit for bit.  a's lower triangle and diagonal are overwritten
+    and its strict upper triangle is left as it was.  The eigenvectors get
+    an array of their own, which is returned in column-major order, where
+    dsyevd and zheevd compute them in their workspace and copy them over
+    a.  The reduction's workspace goes before they are allocated, so at
+    most 3 dim^2 entries are held with a."""
+    d, cplx = a.shape[0], np.iscomplexobj(a)
+    if d == 1:  # dsyevd's and zheevd's own shortcut
+        return a.real[0].copy(), np.ones_like(a)
+    w, e, tau = np.empty(d), np.empty(d), np.empty(d, a.dtype)
+    query = [np.zeros(1, kind) for kind in ((a.dtype, float, np.int64) if cplx else (float, np.int64))]
+    _run(kernels.evd, b"V", b"L", d, a, d, w, *(x for q in query for x in (q, -1)))
+    lwork, *rwork, liwork = (int(q[0].real) for q in query)
+    # dsyevd's and zheevd's workspace holds tau (and e, in dsyevd's), then the
+    # reduction's share, which past the eigenvectors' d^2 entries is stedc's and mtr's
+    share = lwork - (d if cplx else 2 * d)
+    anrm = kernels.lan(102, b"M", b"L", d, a.ctypes.data, d, None)
+    sigma = _RMIN / anrm if 0.0 < anrm < _RMIN else _RMAX / anrm if anrm > _RMAX else None
+    if sigma is not None:  # scale the lower triangle into range
+        _run(kernels.lascl, b"L", 0, 0, 1.0, sigma, d, d, a, d)
+    _run(kernels.trd, b"L", d, a, d, w, e, tau, np.empty(share, a.dtype), share)
+    z = np.empty((d, d), a.dtype, order="F")
+    work, iwork = np.empty(share - d * d, a.dtype), np.empty(liwork, np.int64)
+    rwork = [np.empty(rwork[0] - d), rwork[0] - d] if cplx else []  # past e
+    _run(kernels.stedc, b"I", d, w, e, z, d, work, work.size, *rwork, iwork, liwork)
+    del rwork, iwork
+    _run(kernels.mtr, b"L", b"L", b"N", d, d, a, d, tau, z, d, work, work.size)
+    if sigma is not None:
+        w *= 1.0 / sigma
+    return w, z
 
 
 def _block_labels(h: np.ndarray) -> np.ndarray:
@@ -232,12 +296,16 @@ def _block_labels(h: np.ndarray) -> np.ndarray:
     return lab
 
 
-def _checked_eigh(kernel, h: np.ndarray) -> tuple:
-    """(energies, vectors, max |V diag(e) V^dagger - H|, max |H|) of h, by
-    LAPACK, or by np.linalg.eigh when kernel is None; the check runs over
-    row panels."""
-    e, v = np.linalg.eigh(h) if kernel is None else _lapack_eigh(kernel, h)
-    panels = [_reconstruction_deviation(h, v, e, r) for r in range(0, h.shape[0], PANEL_ROWS)]
+def _checked_eigh(kernels: _Evd | None, a: np.ndarray) -> tuple:
+    """(energies, vectors, max |V diag(e) V^dagger - H|, max |H|) of the H
+    whose column-major copy a is handed over, by LAPACK, or by
+    np.linalg.eigh when kernels is None.  Both read a's lower triangle and
+    leave its strict upper triangle as it was, so the check, over row
+    panels, reads H there and on the saved diagonal.  a is freed before
+    this returns."""
+    diag = a.diagonal().copy()
+    e, v = np.linalg.eigh(a) if kernels is None else _lapack_eigh(kernels, a)
+    panels = [_reconstruction_deviation(a, diag, v, e, r) for r in range(0, a.shape[0], PANEL_ROWS)]
     return (e, v, *np.max(panels, axis=0))
 
 
@@ -245,31 +313,42 @@ def eigendecompose(matrix: HermitianMatrix) -> Spectrum:
     """Full eigendecomposition, ascending eigenvalues; real eigenvectors for a
     real matrix.
 
-    A connected H goes through one LAPACK call on H itself: beyond the
-    input it holds at most 3 dim^2 entries (a copy and LAPACK's
-    workspace), and the checks work in row panels.  An H that is a direct
-    sum of exactly decoupled blocks (the components of its nonzero
-    pattern, as for a Hamiltonian that conserves fermion parity) is
-    diagonalized block by block: V is exactly zero off the blocks, the
-    energies are merged by a stable sort, and the spectrum carries the
-    block labels.  Each block is checked on its own against the largest
-    entry of the whole H, as V diag(e) V^dagger and H are both zero off
-    the blocks."""
+    H is copied once, column-major, and this drops its references to H
+    before LAPACK runs, so an H handed over as a temporary, as in
+    eigendecompose(model.hamiltonian()), is freed here (from CPython 3.11,
+    where the caller keeps no reference to a call's arguments).  The copy
+    is reduced to tridiagonal form and the eigenvectors are computed
+    beside it: at most 3 dim^2 entries (the copy, the eigenvectors and
+    LAPACK's workspace), and the checks work in row panels.  The reduction
+    leaves the copy's strict upper triangle as it was, and the
+    reconstruction is checked against it.  An H that is a direct sum of
+    exactly decoupled blocks (the components of its nonzero pattern, as
+    for a Hamiltonian that conserves fermion parity) is diagonalized block
+    by block, once every block is gathered: V is exactly zero off the
+    blocks, the energies are merged by a stable sort, and the spectrum
+    carries the block labels.  Each block is checked on its own against
+    the largest entry of the whole H, as V diag(e) V^dagger and H are both
+    zero off the blocks."""
     h = matrix.entries
-    kernel = _ZHEEVD if np.iscomplexobj(h) else _DSYEVD
+    kernels = _ZHEEVD if np.iscomplexobj(h) else _DSYEVD
     lab = _block_labels(h)
-    if not lab.any():
-        e, v, dev, scale = _checked_eigh(kernel, h)
-        spec = Spectrum(e, v)
+    blocks = [np.flatnonzero(lab == b) for b in range(lab.max() + 1)]
+    if len(blocks) == 1:
+        copies = [np.array(h, order="F")]
     else:
-        blocks = [np.flatnonzero(lab == b) for b in range(lab.max() + 1)]
-        parts = [_checked_eigh(kernel, h[np.ix_(rows, rows)]) for rows in blocks]
-        dev, scale = np.max([part[2:] for part in parts], axis=0)
+        copies = [h.T[np.ix_(rows, rows)].T for rows in blocks]  # column-major, as gathered
+    del matrix, h
+    parts = [_checked_eigh(kernels, copies.pop(0)) for _ in blocks]  # each copy freed once checked
+    dev, scale = np.max([part[2:] for part in parts], axis=0)
+    if len(blocks) == 1:
+        e, v = parts.pop()[:2]
+        spec = Spectrum(e, np.ascontiguousarray(v))
+    else:
         e = np.concatenate([part[0] for part in parts])
         order = np.argsort(e, kind="stable")
         column = np.empty_like(order)
         column[order] = np.arange(order.size)  # where each block's eigenvectors go in V
-        v = np.zeros(h.shape, parts[0][1].dtype)
+        v = np.zeros((lab.size, lab.size), parts[0][1].dtype)
         for rows, cols in zip(blocks, np.split(column, np.cumsum([b.size for b in blocks[:-1]]))):
             v[np.ix_(rows, cols)] = parts.pop(0)[1]  # each block's vectors freed once placed
         spec = Spectrum(e[order], v, lab)

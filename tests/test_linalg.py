@@ -1,6 +1,8 @@
 import errno
 import os
+import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -147,46 +149,120 @@ def random_hermitian(d: int, dtype, seed: int = 4) -> HermitianMatrix:
 def test_numpy_eigh_kernels_resolve_with_its_bundled_openblas():
     """A numpy on its bundled ILP64 OpenBLAS diagonalizes through LAPACKE,
     and never falls back to np.linalg.eigh unnoticed."""
-    assert linalg._DSYEVD.__name__ == "scipy_LAPACKE_dsyevd_work64_"
-    assert linalg._ZHEEVD.__name__ == "scipy_LAPACKE_zheevd_work64_"
+    for kernels, names in ((linalg._DSYEVD, "dsyevd dlansy dlascl dsytrd dstedc dormtr"),
+                           (linalg._ZHEEVD, "zheevd zlanhe zlascl zhetrd zstedc zunmtr")):
+        assert [k.__name__ for k in kernels] == [f"scipy_LAPACKE_{n}_work64_" for n in names.split()]
 
 
 needs_evd = pytest.mark.skipif(linalg._DSYEVD is None or linalg._ZHEEVD is None,
-                               reason="numpy's LAPACK has no dsyevd/zheevd work64_")
+                               reason="numpy's LAPACK lacks a dsyevd/zheevd stage in work64_")
+needs_311 = pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+    "CPython before 3.11 keeps a call's arguments alive in the caller until it returns"))
+
+
+def stage_spy(monkeypatch, dtype, stage, spy):
+    """Replace one LAPACK stage of dtype's eigensolver by spy(kernel, *args)."""
+    name = "_ZHEEVD" if dtype is np.complex128 else "_DSYEVD"
+    kernels = getattr(linalg, name)
+    kernel = getattr(kernels, stage)
+    monkeypatch.setattr(linalg, name, kernels._replace(**{stage: lambda *a: spy(kernel, *a)}))
 
 
 @needs_evd
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-@pytest.mark.parametrize("d", [1, 2, PANEL_ROWS + 44])
+@pytest.mark.parametrize("d", [1, 2, PANEL_ROWS + 44, 700])
 def test_eigendecompose_is_numpy_eigh_bit_for_bit(monkeypatch, dtype, d):
-    """The LAPACK call gives np.linalg.eigh's energies and vectors to the
+    """LAPACK's stages give np.linalg.eigh's energies and vectors to the
     bit, in C order, on a matrix larger than one panel; so does the
-    fallback that runs without the symbols."""
-    m = random_hermitian(d, dtype)
-    e, v = np.linalg.eigh(m.entries)
-    s = eigendecompose(m)
-    assert s.vectors.dtype == dtype and s.vectors.flags.c_contiguous
-    assert np.array_equal(s.energies, e) and np.array_equal(s.vectors, v)
-    monkeypatch.setattr(linalg, "_DSYEVD", None)
-    monkeypatch.setattr(linalg, "_ZHEEVD", None)
-    fallback = eigendecompose(m)
-    assert np.array_equal(fallback.energies, e) and np.array_equal(fallback.vectors, v)
+    fallback that runs without the symbols.  An H of entries near 1e-150
+    or 1e150 goes through dsyevd's and zheevd's rescaling branch, which
+    scales the copy's lower triangle into range and the energies back."""
+    scaled = []
+    stage_spy(monkeypatch, dtype, "lascl", lambda kernel, *a: scaled.append(a[5]) or kernel(*a))
+    for size in (1.0, 1e-150, 1e150):
+        m = HermitianMatrix(size * random_hermitian(d, dtype).entries)
+        e, v = np.linalg.eigh(m.entries)
+        before = len(scaled)
+        s = eigendecompose(m)
+        assert s.vectors.dtype == dtype and s.vectors.flags.c_contiguous
+        assert np.array_equal(s.energies, e) and np.array_equal(s.vectors, v)
+        assert len(scaled) - before == (d > 1 and size != 1.0)
+        with monkeypatch.context() as fallback:
+            fallback.setattr(linalg, "_DSYEVD", None)
+            fallback.setattr(linalg, "_ZHEEVD", None)
+            s = eigendecompose(m)
+        assert np.array_equal(s.energies, e) and np.array_equal(s.vectors, v)
+
+
+@needs_evd
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("d", [2, PANEL_ROWS + 44])
+def test_lapack_stages_leave_the_copys_upper_triangle(dtype, d):
+    """The reduction, scaling included, works on the lower triangle: the
+    copy's strict upper triangle is still H's after the stages."""
+    for size in (1.0, 1e150):
+        h = size * random_hermitian(d, dtype).entries
+        a = np.array(h, order="F")
+        linalg._lapack_eigh(linalg._ZHEEVD if dtype is np.complex128 else linalg._DSYEVD, a)
+        assert np.array_equal(np.triu(a, 1), np.triu(h, 1))
+
+
+def truncated_20_20() -> HermitianMatrix:
+    block = resonant.enumerate_block(20, 20)
+    return resonant.build_block_hamiltonian(block, resonant.CouplingScheme("truncated"))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_eigendecompose_holds_at_most_three_copies(dtype):
     """At dim 627, (20,20) truncated and a random complex matrix: beyond H,
-    eigendecompose holds at most 3 dim^2 entries (the copy that becomes V
-    and LAPACK's 2 dim^2 workspace), plus one panel of the checks."""
-    if dtype is np.float64:
-        block = resonant.enumerate_block(20, 20)
-        m = resonant.build_block_hamiltonian(block, resonant.CouplingScheme("truncated"))
-    else:
-        m = random_hermitian(627, dtype)
+    eigendecompose holds at most 3 dim^2 entries (the copy, the
+    eigenvectors and LAPACK's workspace), plus one panel of the checks."""
+    m = truncated_20_20() if dtype is np.float64 else random_hermitian(627, dtype)
     d, size = m.dim, np.dtype(dtype).itemsize
     assert d == 627
     peak = traced_peak(lambda: eigendecompose(m))
     assert peak <= 3 * d * d * size + PANEL_ROWS * d * size
+
+
+@needs_311
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_eigendecompose_frees_an_h_handed_over(dtype):
+    """An H built in the call and handed over, as the CLI does it, is
+    freed before LAPACK runs: with H counted, eigendecompose holds at most
+    3 dim^2 entries plus one panel, at dim 627 as above."""
+    if dtype is np.float64:
+        make = truncated_20_20
+    else:
+        h = random_hermitian(627, dtype).entries
+
+        def make():
+            return HermitianMatrix(h.copy())
+    d, size = 627, np.dtype(dtype).itemsize
+    peak = traced_peak(lambda: eigendecompose(make()))
+    assert peak <= 3 * d * d * size + PANEL_ROWS * d * size
+
+
+@needs_evd
+@needs_311
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("blocks", [False, True], ids=["one-block", "three-blocks"])
+def test_h_is_gone_when_the_reduction_starts(monkeypatch, dtype, blocks):
+    """H's array is freed before the first tridiagonal reduction, also
+    when H is diagonalized block by block."""
+    h = permuted_block_diagonal(dtype)[0] if blocks else random_hermitian(40, dtype).entries
+    ref, alive = [], []
+    stage_spy(monkeypatch, dtype, "trd", lambda kernel, *a: alive.append(ref[0]() is not None)
+              or kernel(*a))
+
+    def handed_over():
+        entries = h.copy()
+        ref.append(weakref.ref(entries))
+        return HermitianMatrix(entries)
+
+    s = eigendecompose(handed_over())
+    assert alive == [False] * (3 if blocks else 1)
+    e, v = np.linalg.eigh(h)
+    assert blocks or (np.array_equal(s.energies, e) and np.array_equal(s.vectors, v))
 
 
 def test_spectrum_check_covers_every_panel():
@@ -208,11 +284,31 @@ def test_reconstruction_check_covers_every_panel(monkeypatch):
     wrong = np.arange(d, dtype=float)
     wrong[-1] += 1e-3
     monkeypatch.setattr(linalg, "_DSYEVD", "a kernel")
-    monkeypatch.setattr(linalg, "_lapack_eigh", lambda kernel, m: (wrong.copy(), np.eye(d)))
+    monkeypatch.setattr(linalg, "_lapack_eigh", lambda kernels, a: (wrong.copy(), np.eye(d)))
     with pytest.raises(ArithmeticError, match="reconstruct"):
         eigendecompose(HermitianMatrix(h))
     wrong[-1] = d - 1 + 1e-9 * (d - 1) / 2  # within the tolerance at the scale of H
     eigendecompose(HermitianMatrix(h))
+
+
+@needs_evd
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_reconstruction_check_reads_the_copys_upper_triangle(monkeypatch, dtype):
+    """The check reads H in the strict upper triangle of LAPACK's copy: one
+    entry there changed after the stages, in the last row panel, fails
+    it."""
+    m = random_hermitian(PANEL_ROWS + 44, dtype)
+    eigendecompose(m)
+    lapack_eigh = linalg._lapack_eigh
+
+    def corrupted(kernels, a):
+        e, v = lapack_eigh(kernels, a)
+        a[PANEL_ROWS, -1] += 1e-3
+        return e, v
+
+    monkeypatch.setattr(linalg, "_lapack_eigh", corrupted)
+    with pytest.raises(ArithmeticError, match="reconstruct"):
+        eigendecompose(m)
 
 
 def permuted_block_diagonal(dtype, sizes=(5, 17, 9), seed=11) -> tuple:
@@ -257,9 +353,9 @@ def test_eigendecompose_checks_every_block(monkeypatch, dtype):
     reconstruction."""
     h, _ = permuted_block_diagonal(dtype)
 
-    def wrong_in_the_9_block(kernel, m):
-        e, v = np.linalg.eigh(m)
-        if len(m) == 9:
+    def wrong_in_the_9_block(kernels, a):
+        e, v = np.linalg.eigh(a)
+        if len(a) == 9:
             e[-1] += 1e-3
         return e, v
 
