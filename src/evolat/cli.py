@@ -321,8 +321,15 @@ def _load_config(args) -> dict:
             )
         cfg = json.loads(json.dumps(PRESETS[args.preset]))
     elif args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except OSError as exc:
+            raise SystemExit(f"--config {args.config}: {exc.strerror}") from None
+        except ValueError as exc:  # not JSON, or not text
+            raise SystemExit(f"--config {args.config}: not JSON: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise SystemExit(f"--config {args.config}: the top level must be a JSON object")
     else:
         raise SystemExit("a --config file or --preset name is required")
     if args.seed is not None:

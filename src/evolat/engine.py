@@ -68,7 +68,10 @@ class NonlocalityMatrix:
     eigenvalues: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        m = HermitianMatrix(np.asarray(self.entries, dtype=float)).entries
+        m = np.asarray(self.entries)
+        if np.iscomplexobj(m):  # a cast to float would drop the imaginary part
+            raise ValueError(f"Q is real, got {m.dtype} entries")
+        m = HermitianMatrix(m).entries
         evals = np.linalg.eigvalsh(m)
         if evals[0] < -Q_EIGENVALUE_TOL or evals[-1] > 1.0 + Q_EIGENVALUE_TOL:
             raise ArithmeticError(

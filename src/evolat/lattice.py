@@ -111,10 +111,12 @@ class TriangularLattice:
 
     @classmethod
     def from_columns(cls, columns, target) -> "TriangularLattice":
-        """The lattice of a general square basis, target rotated along."""
+        """The lattice of a general square basis, its one target rotated along."""
         frame, r = triangularize(columns)
-        # transposes are no-ops on one target and rotate each row of a stack
-        return cls(r, (frame.T @ _target(target, r.shape[0]).T).T)
+        t = _target(target, r.shape[0])
+        if t.ndim != 1:
+            raise ValueError(f"from_columns rotates one target, got a stack of shape {t.shape}")
+        return cls(r, frame.T @ t)
 
     def with_target(self, target) -> "TriangularLattice":
         """The same lattice with another target; r is not checked again."""

@@ -313,45 +313,37 @@ def eigendecompose(matrix: HermitianMatrix) -> Spectrum:
     """Full eigendecomposition, ascending eigenvalues; real eigenvectors for a
     real matrix.
 
-    H is copied once, column-major, and this drops its references to H
-    before LAPACK runs, so an H handed over as a temporary, as in
+    H is a direct sum of exactly decoupled blocks, the components of its
+    nonzero pattern: one for a connected H, more for a Hamiltonian that
+    conserves fermion parity.  Each block is copied once, column-major, and
+    this drops its references to H once every block is gathered, before
+    LAPACK runs, so an H handed over as a temporary, as in
     eigendecompose(model.hamiltonian()), is freed here (from CPython 3.11,
-    where the caller keeps no reference to a call's arguments).  The copy
-    is reduced to tridiagonal form and the eigenvectors are computed
-    beside it: at most 3 dim^2 entries (the copy, the eigenvectors and
+    where the caller keeps no reference to a call's arguments).  Each copy
+    is reduced to tridiagonal form and its eigenvectors are computed
+    beside it: at most 3 dim^2 entries (the copies, the eigenvectors and
     LAPACK's workspace), and the checks work in row panels.  The reduction
-    leaves the copy's strict upper triangle as it was, and the
-    reconstruction is checked against it.  An H that is a direct sum of
-    exactly decoupled blocks (the components of its nonzero pattern, as
-    for a Hamiltonian that conserves fermion parity) is diagonalized block
-    by block, once every block is gathered: V is exactly zero off the
-    blocks, the energies are merged by a stable sort, and the spectrum
-    carries the block labels.  Each block is checked on its own against
-    the largest entry of the whole H, as V diag(e) V^dagger and H are both
-    zero off the blocks."""
+    leaves a copy's strict upper triangle as it was, and each block's
+    reconstruction is checked against it and the largest entry of the
+    whole H, as V diag(e) V^dagger and H are both zero off the blocks.  The
+    energies are merged by a stable sort, V is exactly zero off the
+    blocks, and the spectrum carries the block labels."""
     h = matrix.entries
     kernels = _ZHEEVD if np.iscomplexobj(h) else _DSYEVD
     lab = _block_labels(h)
     blocks = [np.flatnonzero(lab == b) for b in range(lab.max() + 1)]
-    if len(blocks) == 1:
-        copies = [np.array(h, order="F")]
-    else:
-        copies = [h.T[np.ix_(rows, rows)].T for rows in blocks]  # column-major, as gathered
+    copies = [h.T[np.ix_(rows, rows)].T for rows in blocks]  # column-major, as gathered
     del matrix, h
     parts = [_checked_eigh(kernels, copies.pop(0)) for _ in blocks]  # each copy freed once checked
     dev, scale = np.max([part[2:] for part in parts], axis=0)
-    if len(blocks) == 1:
-        e, v = parts.pop()[:2]
-        spec = Spectrum(e, np.ascontiguousarray(v))
-    else:
-        e = np.concatenate([part[0] for part in parts])
-        order = np.argsort(e, kind="stable")
-        column = np.empty_like(order)
-        column[order] = np.arange(order.size)  # where each block's eigenvectors go in V
-        v = np.zeros((lab.size, lab.size), parts[0][1].dtype)
-        for rows, cols in zip(blocks, np.split(column, np.cumsum([b.size for b in blocks[:-1]]))):
-            v[np.ix_(rows, cols)] = parts.pop(0)[1]  # each block's vectors freed once placed
-        spec = Spectrum(e[order], v, lab)
+    e = np.concatenate([part[0] for part in parts])
+    order = np.argsort(e, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(order.size)  # where each block's eigenvectors go in V
+    v = np.zeros((lab.size, lab.size), parts[0][1].dtype)
+    for rows, cols in zip(blocks, np.split(column, np.cumsum([b.size for b in blocks[:-1]]))):
+        v[np.ix_(rows, cols)] = parts.pop(0)[1]  # each block's vectors freed once placed
+    spec = Spectrum(e[order], v, lab)
     if dev > RECONSTRUCTION_TOL * max(scale, 1.0):
         raise ArithmeticError(f"eigendecomposition failed to reconstruct: {dev:.3e}")
     return spec

@@ -54,6 +54,13 @@ def test_nonlocality_matrix_rejects_asymmetric():
         NonlocalityMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_nonlocality_matrix_refuses_complex_entries():
+    """Q is real: a complex Hermitian Q, whose eigenvalues are 0 and 1,
+    is refused, not cast to its real part, whose eigenvalues are 0.5 twice."""
+    with pytest.raises(ValueError, match="Q is real, got complex128 entries"):
+        NonlocalityMatrix(np.array([[0.5, 0.5j], [-0.5j, 0.5]]))
+
+
 @pytest.mark.parametrize("q", [-2.0 * np.eye(3), np.diag([0.0, 1.0, 1.0 + 1e-6])],
                          ids=["minus-two", "above-one"])
 def test_nonlocality_matrix_refuses_a_spectrum_outside_zero_one(q):

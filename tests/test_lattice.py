@@ -457,21 +457,32 @@ def test_stacked_targets_solve_like_single_ones():
 
 
 def test_stacked_targets_rotate_row_by_row():
+    """A stack of multiples of one rotated target, as the sweep builds it
+    with with_target, holds in each row the rotation of that multiple."""
     rng = np.random.default_rng(13)
     b = rng.standard_normal((4, 4))
-    ys = rng.standard_normal((4, 4))
-    stacked = TriangularLattice.from_columns(b, ys)
-    # a stack is rotated by one matrix product, which sums in another order
-    for row, y in enumerate(ys):
-        single = TriangularLattice.from_columns(b, y)
+    y = rng.standard_normal(4)
+    scales = rng.standard_normal(4)
+    one = TriangularLattice.from_columns(b, y)
+    stacked = one.with_target(np.multiply.outer(scales, one.target))
+    # scaling after the rotation rounds differently from rotating the multiple
+    for row, s in enumerate(scales):
+        single = TriangularLattice.from_columns(b, s * y)
         np.testing.assert_allclose(stacked.target[row], single.target, rtol=0, atol=1e-13)
+
+
+def test_from_columns_refuses_a_stack_of_targets():
+    """from_columns rotates one target; a (D, D) stack would otherwise be
+    rotated by columns."""
+    with pytest.raises(ValueError, match=r"one target, got a stack of shape \(4, 4\)"):
+        TriangularLattice.from_columns(np.eye(4), np.ones((4, 4)))
 
 
 def test_lll_refuses_a_stack_of_targets():
     rng = np.random.default_rng(13)
-    lat = TriangularLattice.from_columns(rng.standard_normal((4, 4)), rng.standard_normal((3, 4)))
+    lat = TriangularLattice.from_columns(rng.standard_normal((4, 4)), np.zeros(4))
     with pytest.raises(ValueError, match=r"one target, got a stack of shape \(3, 4\)"):
-        lll_reduce_with_transform(lat)
+        lll_reduce_with_transform(lat.with_target(rng.standard_normal((3, 4))))
 
 
 # seeds that the descent on the unit lattice, target 0, fixes in 0, 1, 2
@@ -583,8 +594,8 @@ def test_method_ladder_reduces_once(monkeypatch, cvp6):
 @pytest.mark.parametrize("name", ["naive", "babai+greedy"])
 def test_chain_solves_a_stack_row_by_row(name):
     rng = np.random.default_rng(31)
-    b = rng.standard_normal((6, 6))
-    stack = TriangularLattice.from_columns(b, (b @ rng.uniform(-4.0, 4.0, size=(6, 9))).T)
+    lat = TriangularLattice.from_columns(rng.standard_normal((6, 6)), np.zeros(6))
+    stack = lat.with_target((lat.r @ rng.uniform(-4.0, 4.0, size=(6, 9))).T)
     chain = SolverChain.parse(name)
     coeffs = chain.solve(stack)
     assert coeffs.shape == (9, 6) and coeffs.dtype == np.int64 and coeffs.flags.c_contiguous
