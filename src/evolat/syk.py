@@ -78,17 +78,6 @@ def _combinations(n: int, w: int) -> np.ndarray:
     return np.fromiter(flat, np.intp, count * w).reshape(count, w)
 
 
-def _signs(z: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(-1)^popcount(z_t & c), one row per mask z_t and one column per c."""
-    return 1.0 - 2.0 * (np.bitwise_count(z[:, None] & cols) & 1)
-
-
-def _distinct(x: np.ndarray) -> list:
-    """The distinct x masks, ascending.  (np.unique would import numpy.ma,
-    about 15 ms, on its first call.)"""
-    return sorted(set(x.tolist()))
-
-
 def check_dense(rep: CliffordRep) -> None:
     """Raise ValueError when the dense Hamiltonian of rep and its eigh need
     more than DENSE_BYTES_LIMIT bytes; D alone decides, so a caller can ask
@@ -101,21 +90,35 @@ def check_dense(rep: CliffordRep) -> None:
             f"about {need} bytes, above DENSE_BYTES_LIMIT = {DENSE_BYTES_LIMIT}")
 
 
-def _scatter(rep: CliffordRep, x: np.ndarray, z: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """Dense sum_t coeff_t X^x_t Z^z_t.  Entry [k, k ^ x] of X^x Z^z is
-    (-1)^popcount(z & (k ^ x)), so strings sharing an x are one product."""
-    check_dense(rep)
-    d = rep.dim
-    h = np.zeros((d, d), dtype=np.complex128)
+def _scatter(rep: CliffordRep, *terms: tuple) -> np.ndarray:
+    """Dense sum_t c_t X^x_t Z^z_t over the (x, z, c) arrays of terms, no
+    (x, z) twice.  Entry [k ^ x, k] of X^x Z^z is (-1)^popcount(z & k), so
+    the strings sharing an x give row x of the Walsh-Hadamard transform of
+    their c placed at their z: log2 D butterfly stages on the lowest bit of
+    k over one (masks, D) array, sums to the first half and differences to
+    the second."""
+    x, z, c = map(np.concatenate, zip(*terms))
+    order = np.argsort(x, kind="stable")
+    x, z, c = x[order], z[order], c[order]
+    first = np.diff(x, prepend=-1) != 0  # (np.unique would import numpy.ma)
+    d, masks = rep.dim, x[first]
+    u = np.zeros((masks.size, d), np.complex128)
+    u[np.cumsum(first) - 1, z] = c
+    v = np.empty_like(u)
+    for _ in range(d.bit_length() - 1):
+        np.add(u[:, 0::2], u[:, 1::2], out=v[:, : d // 2])
+        np.subtract(u[:, 0::2], u[:, 1::2], out=v[:, d // 2 :])
+        u, v = v, u
+    h = np.zeros((d, d), np.complex128)
     k = np.arange(d)
-    for mask in _distinct(x):
-        group, cols = np.flatnonzero(x == mask), k ^ mask
-        h[k, cols] += coeff[group] @ _signs(z[group], cols)  # (k, cols) never repeats
+    np.put(h, (masks[:, None] ^ k) * d + k, u)  # h[k ^ x, k]
     return h
 
 
-def free_syk(rep: CliffordRep, j2: np.ndarray) -> HermitianMatrix:
-    """H = i sum_{ij} J_ij psi_i psi_j with antisymmetric J."""
+def _quadratic_terms(rep: CliffordRep, j2: np.ndarray) -> tuple:
+    """The strings of i sum_{ij} J_ij psi_i psi_j, after checking that the
+    dense H fits (check_dense) and that J is an antisymmetric n x n matrix."""
+    check_dense(rep)
     j = np.asarray(j2, dtype=float)
     n = rep.n_modes
     if j.shape != (n, n):
@@ -125,7 +128,12 @@ def free_syk(rep: CliffordRep, j2: np.ndarray) -> HermitianMatrix:
     a, b = np.triu_indices(n, 1)
     x, z, phase = _products(rep, np.stack([a, b], axis=1))
     # 2i J_ab psi_a psi_b, with a factor 1/2 from the two Majoranas
-    return HermitianMatrix(_scatter(rep, x, z, 1j * j[a, b] * phase))
+    return x, z, 1j * j[a, b] * phase
+
+
+def free_syk(rep: CliffordRep, j2: np.ndarray) -> HermitianMatrix:
+    """H = i sum_{ij} J_ij psi_i psi_j with antisymmetric J."""
+    return HermitianMatrix(_scatter(rep, _quadratic_terms(rep, j2)))
 
 
 def antisymmetric_canonical_form(j2: np.ndarray):
@@ -225,11 +233,10 @@ def chaotic_syk(
     count = math.comb(rep.n_modes, body)
     if vals.shape != (count,):
         raise ValueError(f"expected {count} couplings, got shape {vals.shape}")
-    h = free_syk(rep, j2).entries.copy()
+    quadratic = _quadratic_terms(rep, j2)
     x, z, phase = _products(rep, _combinations(rep.n_modes, body))
     scale = 0.25 if body == 4 else 1j * 2.0**-1.5  # 2^(-body/2), and i for 3-body
-    h += _scatter(rep, x, z, epsilon * scale * vals * phase)
-    return HermitianMatrix(h)
+    return HermitianMatrix(_scatter(rep, quadratic, (x, z, epsilon * scale * vals * phase)))
 
 
 def sample_quadratic_couplings(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -325,8 +332,9 @@ class MonomialClassifier:
                 if block is None:  # allocated only once the last one is released
                     block = np.empty((rows, d))
                 part, group = group[: rows - fill], group[rows - fill:]
+                signs = 1.0 - 2.0 * (np.bitwise_count(z[part, None] & j) & 1)
                 # (d, 2d) reals: one real product gives both parts
-                diag = (_signs(z[part], j) @ a.view(np.float64)).view(np.complex128)
+                diag = (signs @ a.view(np.float64)).view(np.complex128)
                 block[fill : fill + part.size] = _real_block(c[part, None] * diag)
                 fill += part.size
                 if fill == rows:

@@ -422,6 +422,29 @@ def dense_integrable_syk(psis, omegas, pair_couplings, epsilon, frame=None) -> n
     return h
 
 
+def syk_nonlocality_oracle(vectors: np.ndarray, charges: list, threshold: int) -> np.ndarray:
+    """Q of free or integrable SYK in closed form, with no monomial built:
+    (I - Q)_ij = (1/D) sum_{1 <= |S| <= threshold // 2} chi_S(i) chi_S(j),
+    chi_S(i) = prod_{p in S} s_p(i), s_p(i) = <i|J3_p|i> for the columns i
+    of vectors.  A Gaussian rotation keeps the span of the monomials of
+    weight 1 to threshold, and in the frame of the charges only the
+    products of whole pairs, prod_{p in S} J3_p, have a diagonal.  Refuses
+    a state that is not an eigenstate of every charge, as an exact
+    degeneracy would leave it."""
+    d = vectors.shape[0]
+    signs = np.array([np.einsum("ji,jk,ki->i", vectors.conj(), j3, vectors).real
+                      for j3 in charges])
+    off = np.abs(np.abs(signs) - 1.0).max()
+    if off > 1e-8:
+        raise ValueError(f"an eigenstate's charge is {off:.3e} from +-1")
+    signs = np.sign(signs)
+    chi = [np.prod(signs[list(s)], axis=0)
+           for w in range(1, threshold // 2 + 1)
+           for s in itertools.combinations(range(len(charges)), w)]
+    x = np.array(chi).reshape(-1, d)
+    return np.eye(d) - x.T @ x / d
+
+
 def build_block_hamiltonian_loop(block: FockBlock, scheme: CouplingScheme) -> HermitianMatrix:
     """`build_block_hamiltonian` one state and one term at a time: for each
     state, the occupied pairs k <= l, then n = 0..(k + l) // 2.  The

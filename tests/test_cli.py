@@ -59,6 +59,36 @@ def test_unknown_preset_rejected(tmp_path):
         main(["stats", "--preset", "no-such-preset", "--out", str(tmp_path)])
 
 
+def test_unknown_command_refused_with_the_choices(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["spectrum", "--preset", "stats-goe-desk", "--out", str(tmp_path)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'spectrum'" in err
+    for name in COMMANDS:
+        assert f"'{name}'" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_options_may_come_before_the_command(tmp_path):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(SYNTH_TRACE))
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["--config", str(cfg_path), "--out", str(first), "bound"]) == 0
+    assert main(["--out", str(second), "bound", "--config", str(cfg_path)]) == 0
+    for name in ("bound.csv", "bound_meta.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    for name, (_, text) in COMMANDS.items():
+        assert re.search(rf"^  {name} +{re.escape(text)}$", out, re.MULTILINE), name
+
+
 @pytest.mark.parametrize("text, message", [
     (None, "No such file or directory"),
     ("{not json", "not JSON: Expecting property name"),
@@ -720,9 +750,9 @@ def test_cvp_requires_instance_fields(tmp_path):
     ([[float("nan"), 0.0], [0.0, 1.0]], [1.0, 2.0], "basis has a non-finite entry"),
     ([[1.0, 0.0], [0.0, 1.0]], [float("inf"), 2.0], "target has a non-finite entry"),
     ([[1.0, 0.0], [0.0, 1.0]], [[0.2, 0.7], [1.4, -0.3]],
-     r"target must be one flat list, got shape \(2, 2\)"),
+     r"from_columns rotates one target, got a stack of shape \(2, 2\)"),
     ([[1.0, 0.0], [0.0, 1.0]], [[0.2, 0.7], [1.4, -0.3], [1.0, 1.0]],
-     r"target must be one flat list, got shape \(3, 2\)"),
+     r"from_columns rotates one target, got a stack of shape \(3, 2\)"),
 ], ids=["non-square", "target-length", "rank-deficient", "not-numbers", "nan-basis",
         "infinite-target", "square-target", "stacked-target"])
 def test_cvp_refuses_a_malformed_instance_with_a_message(tmp_path, basis, target, message):

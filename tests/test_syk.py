@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evolat import syk
 from evolat.engine import nonlocality_matrix
 from evolat.linalg import Spectrum, eigendecompose, normalize_energies
 from evolat.syk import (
@@ -33,6 +34,7 @@ from oracles import (
     kept_subsets,
     local_subsets,
     string_matrix,
+    syk_nonlocality_oracle,
     x_mask,
 )
 
@@ -429,8 +431,11 @@ def test_monomials_match_dense_products(n):
             assert np.abs(t - dense_monomial(psis, s)).max() < 1e-15, s
 
 
-@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_hamiltonians_match_dense_formulas(n):
+    """Each model against its formula in Kronecker-built Majoranas, entry by
+    entry within 1e-13 (the entries are O(1); the transform's roundoff is
+    below 1e-15)."""
     rng = np.random.default_rng(40 + n)
     rep = build_clifford(n)
     psis = dense_majoranas(n)
@@ -445,6 +450,71 @@ def test_hamiltonians_match_dense_formulas(n):
     h = integrable_syk(rep, omegas, pair, 1.3, frame=frame)
     expect = dense_integrable_syk(psis, omegas, pair, 1.3, frame)
     assert np.abs(h.entries - expect).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_string_transform_matches_kronecker_products(n):
+    """The Walsh-Hadamard transform behind every SYK Hamiltonian, on complex
+    coefficients of the monomials of every weight, in two term arrays as
+    chaotic_syk hands them: sum_t c_t 2^(w/2) psi_i1 ... psi_iw from
+    Kronecker-built Majoranas, entry by entry within 1e-13."""
+    rng = np.random.default_rng(50 + n)
+    rep = build_clifford(n)
+    psis = dense_majoranas(n)
+    subsets = [s for w in range(1, n + 1) for s in itertools.combinations(range(n), w)]
+    coeff = rng.normal(size=len(subsets)) + 1j * rng.normal(size=len(subsets))
+    terms = []
+    for w in range(1, n + 1):
+        picked = [i for i, s in enumerate(subsets) if len(s) == w]
+        x, z, phase = syk._products(rep, np.array([subsets[i] for i in picked]))
+        terms.append((x, z, coeff[picked] * phase))
+    expect = np.zeros((rep.dim, rep.dim), np.complex128)
+    for c, s in zip(coeff, subsets):
+        m = np.eye(rep.dim, dtype=np.complex128)
+        for i in s:
+            m = m @ psis[i]
+        expect += c * 2.0 ** (len(s) / 2) * m
+    for split in (terms, [tuple(map(np.concatenate, zip(*terms)))]):
+        assert np.abs(syk._scatter(rep, *split) - expect).max() < 1e-13
+
+
+def _free_and_integrable(n):
+    """Free and integrable SYK at seed 7, as the desk presets draw them, with
+    the Kronecker-built charges of their canonical frame."""
+    rng = np.random.default_rng(7)
+    rep = build_clifford(n)
+    j2 = sample_quadratic_couplings(n, rng)
+    omegas, frame = antisymmetric_canonical_form(j2)
+    pair = sample_pair_couplings(n, rng)
+    charges = dense_charges(dense_majoranas(n), frame)
+    return rep, charges, {"free": free_syk(rep, j2),
+                          "integrable": integrable_syk(rep, omegas, pair, 1.0, frame=frame)}
+
+
+@pytest.mark.parametrize("n", [10, 12, 14])
+def test_nonlocality_matches_its_closed_form(n):
+    """Free and integrable SYK Q against the charge-sign oracle,
+    elementwise within 1e-12 (measured up to 4e-15), at thresholds 2, 4
+    and 6."""
+    rep, charges, models = _free_and_integrable(n)
+    for name, h in models.items():
+        spec = eigendecompose(h)
+        spec = Spectrum(normalize_energies(spec.energies), spec.vectors, spec.blocks)
+        for threshold in (2, 4, 6):
+            q = nonlocality_matrix(spec, MonomialClassifier(rep, threshold)).entries
+            expect = syk_nonlocality_oracle(spec.vectors, charges, threshold)
+            assert np.abs(q - expect).max() < 1e-12, (name, threshold)
+
+
+def test_closed_form_refuses_a_state_that_is_not_a_charge_eigenstate():
+    """Two eigenstates of free SYK mixed, as an exact degeneracy could leave
+    them, are refused."""
+    _, charges, models = _free_and_integrable(6)
+    v = eigendecompose(models["free"]).vectors.astype(np.complex128)
+    syk_nonlocality_oracle(v, charges, 2)
+    v[:, :2] = v[:, :2] @ np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    with pytest.raises(ValueError, match="an eigenstate's charge is .* from"):
+        syk_nonlocality_oracle(v, charges, 2)
 
 
 def strings(n_modes):
